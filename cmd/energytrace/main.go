@@ -71,9 +71,14 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// Assemble the observer chain: the timeline still uses the legacy
-	// RecordingTracer; breakdowns and exporters attach as Observers.
+	// Assemble the observer chain: the timeline, breakdowns and exporters
+	// all watch the same run.
 	var observers radio.MultiObserver
+	var tl *timeline
+	if *width > 0 {
+		tl = newTimeline(g.N(), *width)
+		observers = append(observers, tl)
+	}
 	var breakdown *obs.PhaseBreakdown
 	var counter *obs.Counter
 	if *phases {
@@ -102,8 +107,7 @@ func run(args []string, out io.Writer) error {
 		observers = append(observers, ct)
 	}
 
-	rec := &radio.RecordingTracer{}
-	cfg := radio.Config{Model: model, Seed: *seed, UnaryOnly: unaryOnly, Tracer: rec}
+	cfg := radio.Config{Model: model, Seed: *seed, UnaryOnly: unaryOnly}
 	if len(observers) > 0 {
 		cfg.Observer = observers
 	}
@@ -123,8 +127,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "%s  algo=%s model=%s seed=%d\n", g, *algo, model, *seed)
-	if *width > 0 {
-		renderTimeline(out, g, rec, rr, *width)
+	if tl != nil {
+		tl.render(out, rr)
 	}
 	fmt.Fprintf(out, "\nmax energy %d, avg %.1f, rounds %d\n",
 		maxOf(rr.Energy), avg(rr.Energy), rr.Rounds)
@@ -169,36 +173,51 @@ func selectAlgo(algo string, p mis.Params) (radio.Program, radio.Model, bool, er
 	return nil, 0, false, fmt.Errorf("unknown algorithm %q (supported: cd, beep, naive-cd, nocd)", algo)
 }
 
-func renderTimeline(out io.Writer, g *graph.Graph, rec *radio.RecordingTracer, rr *radio.Result, width int) {
-	rounds := int(rr.Rounds)
-	if rounds > width {
-		rounds = width
-	}
-	rows := make([][]byte, g.N())
-	for v := range rows {
-		rows[v] = []byte(strings.Repeat(".", rounds))
-	}
-	for _, ev := range rec.Events {
-		if ev.Round >= uint64(rounds) {
-			continue
-		}
-		for _, v := range ev.Transmitters {
-			rows[v][ev.Round] = 'T'
-		}
-		for _, v := range ev.Listeners {
-			rows[v][ev.Round] = 'L'
-		}
-	}
-	for v, r := range rec.HaltRound {
-		if r < uint64(rounds) && rows[v][r] == '.' {
-			rows[v][r] = '*'
-		}
-	}
+// timeline is an observer that paints the awake schedule of the first
+// rounds of a run, one row per node and one cell per round.
+type timeline struct {
+	rows [][]byte
+}
 
+func newTimeline(n, width int) *timeline {
+	t := &timeline{rows: make([][]byte, n)}
+	for v := range t.rows {
+		t.rows[v] = []byte(strings.Repeat(".", width))
+	}
+	return t
+}
+
+// ObserveRound implements radio.Observer.
+func (t *timeline) ObserveRound(s *radio.RoundStats) {
+	for _, tx := range s.Transmitters {
+		if row := t.rows[tx.ID]; s.Round < uint64(len(row)) {
+			row[s.Round] = 'T'
+		}
+	}
+	for _, rx := range s.Listeners {
+		if row := t.rows[rx.ID]; s.Round < uint64(len(row)) {
+			row[s.Round] = 'L'
+		}
+	}
+}
+
+// ObserveHalt implements radio.Observer.
+func (t *timeline) ObserveHalt(id int, _ int64, _ uint64, round uint64) {
+	if row := t.rows[id]; round < uint64(len(row)) && row[round] == '.' {
+		row[round] = '*'
+	}
+}
+
+// render prints the painted rows, cut to the rounds the run lasted.
+func (t *timeline) render(out io.Writer, rr *radio.Result) {
+	rounds := uint64(0)
+	if len(t.rows) > 0 {
+		rounds = min(rr.Rounds, uint64(len(t.rows[0])))
+	}
 	fmt.Fprintf(out, "T=transmit L=listen .=sleep *=halt   (%d of %d rounds shown)\n\n", rounds, rr.Rounds)
-	for v, row := range rows {
+	for v, row := range t.rows {
 		status := mis.Status(rr.Outputs[v])
-		fmt.Fprintf(out, "node %3d %-9s E=%-4d |%s|\n", v, status, rr.Energy[v], row)
+		fmt.Fprintf(out, "node %3d %-9s E=%-4d |%s|\n", v, status, rr.Energy[v], row[:rounds])
 	}
 }
 

@@ -96,7 +96,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := solver(*algo); err != nil {
+	if err := checkAlgorithm(*algo); err != nil {
 		return err
 	}
 	fp, err := faults.ParseSpec(*faultStr)
@@ -129,7 +129,7 @@ func run(args []string) error {
 		tctx, sp := trace.Start(ctx, "radiomis.trial",
 			trace.A("trial", trial), trace.A("algo", *algo), trace.A("n", g.N()))
 		log.DebugContext(tctx, "trial starting", "trial", trial, "algo", *algo, "n", g.N(), "seed", trialSeed)
-		res, err := mis.SolveWithFaults(tctx, *algo, g, p, trialSeed, fp)
+		res, err := mis.Run(*algo, g, p, mis.RunOpts{Seed: trialSeed, Ctx: tctx, Faults: fp})
 		sp.End()
 		if err != nil {
 			return err
@@ -178,15 +178,12 @@ func writeTrace(path string, tracer *trace.Tracer) error {
 	return f.Close()
 }
 
-// solver validates an algorithm name and returns its classic (context-free,
-// fault-free) entry point, resolved through the mis registry — the same
+// checkAlgorithm rejects names the mis registry does not know — the same
 // registry mis.Run and the daemon's /v1/algorithms endpoint use, so the
 // CLI's accepted names can never drift from theirs.
-func solver(name string) (func(*graph.Graph, mis.Params, uint64) (*mis.Result, error), error) {
+func checkAlgorithm(name string) error {
 	if !mis.KnownAlgorithm(name) {
-		return nil, fmt.Errorf("unknown algorithm %q (known: %s)", name, strings.Join(mis.Algorithms(), ", "))
+		return fmt.Errorf("unknown algorithm %q (known: %s)", name, strings.Join(mis.Algorithms(), ", "))
 	}
-	return func(g *graph.Graph, p mis.Params, seed uint64) (*mis.Result, error) {
-		return mis.Run(name, g, p, mis.RunOpts{Seed: seed})
-	}, nil
+	return nil
 }

@@ -45,11 +45,11 @@ func TestRunErrors(t *testing.T) {
 
 func TestSolverLookup(t *testing.T) {
 	for _, name := range []string{"cd", "beep", "nocd", "lowdegree", "naive-cd", "naive-nocd", "unknown-delta"} {
-		if _, err := solver(name); err != nil {
-			t.Errorf("solver(%q): %v", name, err)
+		if err := checkAlgorithm(name); err != nil {
+			t.Errorf("checkAlgorithm(%q): %v", name, err)
 		}
 	}
-	if _, err := solver("nope"); err == nil {
+	if err := checkAlgorithm("nope"); err == nil {
 		t.Error("unknown solver accepted")
 	}
 }

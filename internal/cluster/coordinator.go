@@ -546,13 +546,14 @@ func mergeShards(req server.JobRequest, results [][]server.TrialRow) *server.Job
 	}
 	sort.Strings(names)
 
+	engine, _ := server.ResolveEngine(req)
 	sr := &server.SolveResult{
 		Algorithm: req.Algorithm,
 		Family:    req.Family,
 		N:         req.N,
 		Trials:    req.Trials,
 		Faults:    req.Faults,
-		Engine:    server.ResolveEngine(req),
+		Engine:    engine,
 		Metrics:   make(map[string]stats.Summary),
 	}
 	vals := make([]float64, 0, len(rows))

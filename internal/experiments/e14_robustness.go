@@ -51,7 +51,7 @@ func faultTrial(n int, algo string, fp faults.Profile) harness.TrialFunc {
 	return func(ctx context.Context, seed uint64) (harness.Metrics, error) {
 		g := graph.Generate(graph.FamilyGNP, n, rng.New(seed))
 		p := mis.ParamsDefault(g.N(), g.MaxDegree())
-		res, err := mis.SolveWithFaults(ctx, algo, g, p, seed, fp)
+		res, err := mis.Run(algo, g, p, mis.RunOpts{Seed: seed, Ctx: ctx, Faults: fp})
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"radiomis/internal/graph"
@@ -60,7 +61,10 @@ func E15Scheduling(ctx context.Context, cfg Config) (*Report, error) {
 			"batches", "maxBatch", "meanBatch", "planMs")
 		for _, d := range degrees {
 			d := d
-			var planMsTotal float64
+			var (
+				mu          sync.Mutex // trials run in parallel
+				planMsTotal float64
+			)
 			agg, err := harness.Repeat(ctx,
 				harness.Options{Trials: t, Seed: rng.Mix(cfg.Seed, uint64(d))},
 				func(ctx context.Context, seed uint64) (harness.Metrics, error) {
@@ -73,7 +77,10 @@ func E15Scheduling(ctx context.Context, cfg Config) (*Report, error) {
 					if err != nil {
 						return nil, err
 					}
-					planMsTotal += float64(time.Since(start)) / float64(time.Millisecond)
+					planMs := float64(time.Since(start)) / float64(time.Millisecond)
+					mu.Lock()
+					planMsTotal += planMs
+					mu.Unlock()
 					if err := plan.Validate(g); err != nil {
 						return nil, fmt.Errorf("invalid plan (%s, d=%v): %w", cond.algo, d, err)
 					}

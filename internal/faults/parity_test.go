@@ -20,35 +20,27 @@ import (
 	"radiomis/internal/rng"
 )
 
-// cleanSolvers are the historical per-algorithm entry points, which know
-// nothing about fault profiles.
-var cleanSolvers = map[string]func(context.Context, *graph.Graph, mis.Params, uint64) (*mis.Result, error){
-	"cd":            mis.SolveCDContext,
-	"beep":          mis.SolveBeepContext,
-	"nocd":          mis.SolveNoCDContext,
-	"lowdegree":     mis.SolveLowDegreeContext,
-	"naive-cd":      mis.SolveNaiveCDContext,
-	"naive-nocd":    mis.SolveNaiveNoCDContext,
-	"unknown-delta": mis.SolveUnknownDeltaContext,
-}
+// cleanAlgorithms are the radio algorithms whose fault-free runs the zero
+// profile must reproduce.
+var cleanAlgorithms = []string{"cd", "beep", "nocd", "lowdegree", "naive-cd", "naive-nocd", "unknown-delta"}
 
 // TestZeroProfileMatchesCleanSolvers checks, for every algorithm × family ×
-// seed, that SolveWithFaults under the zero profile returns a Result deeply
-// equal to the fault-oblivious solver's — same statuses, energies, rounds,
-// and no fault bookkeeping.
+// seed, that a run with an explicit zero fault profile returns a Result
+// deeply equal to a run that never sets RunOpts.Faults — same statuses,
+// energies, rounds, and no fault bookkeeping.
 func TestZeroProfileMatchesCleanSolvers(t *testing.T) {
 	ctx := context.Background()
 	families := []graph.Family{graph.FamilyGNP, graph.FamilyGrid, graph.FamilyTree}
-	for algo, solve := range cleanSolvers {
+	for _, algo := range cleanAlgorithms {
 		for _, fam := range families {
 			for seed := uint64(1); seed <= 2; seed++ {
 				g := graph.Generate(fam, 64, rng.New(seed))
 				p := mis.ParamsDefault(g.N(), g.MaxDegree())
-				want, err := solve(ctx, g, p, seed)
+				want, err := mis.Run(algo, g, p, mis.RunOpts{Seed: seed, Ctx: ctx})
 				if err != nil {
 					t.Fatalf("%s/%s/%d clean: %v", algo, fam, seed, err)
 				}
-				got, err := mis.SolveWithFaults(ctx, algo, g, p, seed, faults.Profile{})
+				got, err := mis.Run(algo, g, p, mis.RunOpts{Seed: seed, Ctx: ctx, Faults: faults.Profile{}})
 				if err != nil {
 					t.Fatalf("%s/%s/%d zero-profile: %v", algo, fam, seed, err)
 				}

@@ -1,7 +1,6 @@
 package mis
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -33,7 +32,7 @@ func TestAlgorithmsRegistry(t *testing.T) {
 
 func TestSolveWithFaultsUnknownAlgo(t *testing.T) {
 	g := graph.Star(4)
-	_, err := SolveWithFaults(context.Background(), "bogus", g, ParamsDefault(g.N(), g.MaxDegree()), 1, faults.Profile{})
+	_, err := Run("bogus", g, ParamsDefault(g.N(), g.MaxDegree()), RunOpts{Seed: 1})
 	if err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
 		t.Fatalf("err = %v, want unknown algorithm", err)
 	}
@@ -41,7 +40,7 @@ func TestSolveWithFaultsUnknownAlgo(t *testing.T) {
 
 func TestSolveWithFaultsRejectsBadProfile(t *testing.T) {
 	g := graph.Star(4)
-	_, err := SolveWithFaults(context.Background(), "cd", g, ParamsDefault(g.N(), g.MaxDegree()), 1, faults.Profile{Loss: 1.5})
+	_, err := Run("cd", g, ParamsDefault(g.N(), g.MaxDegree()), RunOpts{Seed: 1, Faults: faults.Profile{Loss: 1.5}})
 	if err == nil {
 		t.Fatal("invalid profile accepted")
 	}
@@ -58,7 +57,7 @@ func TestCrashedNodesGetCrashedStatus(t *testing.T) {
 	// Scan a few seeds for a run with at least one terminal crash; the rate
 	// is high enough that the first almost surely qualifies.
 	for seed := uint64(0); seed < 10; seed++ {
-		res, err = SolveWithFaults(context.Background(), "cd", g, p, seed, faults.Profile{Crash: faults.Crash{Rate: 0.02}})
+		res, err = Run("cd", g, p, RunOpts{Seed: seed, Faults: faults.Profile{Crash: faults.Crash{Rate: 0.02}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +92,7 @@ func TestCrashedNodesGetCrashedStatus(t *testing.T) {
 func TestCheckSurvivorsOnCleanRunMatchesCheck(t *testing.T) {
 	g := graph.Generate(graph.FamilyGNP, 48, rng.New(2))
 	p := ParamsDefault(g.N(), g.MaxDegree())
-	res, err := SolveWithFaults(context.Background(), "cd", g, p, 3, faults.Profile{})
+	res, err := Run("cd", g, p, RunOpts{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestLossDegradesLubyBaseline(t *testing.T) {
 	p := ParamsDefault(g.N(), g.MaxDegree())
 	broken := 0
 	for seed := uint64(0); seed < 5; seed++ {
-		res, err := SolveWithFaults(context.Background(), "naive-cd", g, p, seed, faults.Profile{Loss: 0.4})
+		res, err := Run("naive-cd", g, p, RunOpts{Seed: seed, Faults: faults.Profile{Loss: 0.4}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -304,7 +304,8 @@ type ManyOpts struct {
 // Results are in seed order and each is bit-identical to the single-trial
 // Run(name, g, p, RunOpts{Seed: opts.Seeds[i], ...}) result regardless of
 // the engine that produced it; on the first failing trial RunMany returns
-// that trial's error (lowest index wins, like a sequential loop).
+// that trial's error (lowest index wins, like a sequential loop), prefixed
+// with its index unless the batch has a single trial.
 //
 // Under EngineAuto a clean (no faults), unobserved batch of a
 // LockstepCapable algorithm runs on the bit-parallel lockstep engine in
@@ -354,7 +355,7 @@ func RunMany(name string, g *graph.Graph, p Params, opts ManyOpts) ([]*Result, e
 			ro.Seed = seed
 			res, err := Run(name, g, p, ro)
 			if err != nil {
-				return nil, fmt.Errorf("trial %d: %w", i, err)
+				return nil, trialErr(i, len(opts.Seeds), err)
 			}
 			results = append(results, res)
 		}
@@ -370,12 +371,20 @@ func RunMany(name string, g *graph.Graph, p Params, opts ManyOpts) ([]*Result, e
 		}
 		for l := range chunk {
 			if lerr := batch.Errs[l]; lerr != nil {
-				return nil, fmt.Errorf("trial %d: mis: %s run: %w", off+l, name, lerr)
+				return nil, trialErr(off+l, len(opts.Seeds), fmt.Errorf("mis: %s run: %w", name, lerr))
 			}
-			res := newResult(batch.Results[l])
-			res.DecisionRound = batch.HaltRounds[l]
-			results = append(results, res)
+			results = append(results, newResult(batch.Results[l]))
 		}
 	}
 	return results, nil
+}
+
+// trialErr attributes a failing trial's error to its index within a
+// multi-trial batch; a one-trial batch fails with the error as Run would
+// return it.
+func trialErr(i, trials int, err error) error {
+	if trials == 1 {
+		return err
+	}
+	return fmt.Errorf("trial %d: %w", i, err)
 }

@@ -14,9 +14,8 @@ import (
 // This file is the algorithm registry: the single place where every MIS
 // algorithm is defined — its canonical wire name (shared by the radiomis
 // CLI, the radiomisd job schema, and the library facade), its collision
-// model, its program builder, and its human-readable description. All
-// entry points resolve through Run below: the per-algorithm Solve*
-// functions are one-line wrappers, SolveWithFaults is a one-line wrapper,
+// model, its program builder, and its human-readable description. Every
+// run resolves through Run below (RunMany, in lockstep.go, for batches),
 // and the daemon's discovery endpoint serializes Infos.
 
 // algoSpec is one registry entry. Exactly one of program (a radio-model
@@ -163,9 +162,10 @@ type RunOpts struct {
 }
 
 // Run executes the named registered algorithm on g and returns the MIS
-// result. It is the single execution path behind every Solve* entry point:
-// the registry resolves the algorithm, params and fault profile are
-// validated once, and the simulation runs with whatever opts carries.
+// result. It is the single-trial execution path (radiomis.Solve and the
+// scalar trials of RunMany resolve here): the registry resolves the
+// algorithm, params and fault profile are validated once, and the
+// simulation runs with whatever opts carries.
 func Run(name string, g *graph.Graph, p Params, opts RunOpts) (*Result, error) {
 	spec, ok := algoSpecs[name]
 	if !ok {
@@ -191,7 +191,7 @@ func Run(name string, g *graph.Graph, p Params, opts RunOpts) (*Result, error) {
 		}
 		return spec.sequential(g, p, opts.Seed), nil
 	}
-	res, err := runProgramObserved(opts.Ctx, g, spec.model, opts.Seed, opts.Faults, opts.Observer, spec.program(p))
+	res, err := runProgram(opts.Ctx, g, spec.model, opts.Seed, opts.Faults, opts.Observer, spec.program(p))
 	if err != nil {
 		return nil, fmt.Errorf("mis: %s run: %w", name, err)
 	}

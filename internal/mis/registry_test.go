@@ -6,39 +6,36 @@ import (
 	"strings"
 	"testing"
 
+	"radiomis/internal/faults"
 	"radiomis/internal/graph"
 	"radiomis/internal/radio"
 )
 
-// TestRunMatchesSolveFacades pins the registry collapse: every internal
-// Solve*Context pair produces exactly what Run produces for its name.
+// TestRunMatchesSolveFacades pins the registry collapse: for every
+// registered algorithm, Run produces exactly what a direct execution of
+// its registry entry produces — the program on its model, or the
+// sequential algorithm — so Run adds validation and nothing else.
 func TestRunMatchesSolveFacades(t *testing.T) {
 	g := graph.GNP(80, 6.0/80, rand.New(rand.NewSource(5)))
 	p := ParamsDefault(80, g.MaxDegree())
-	facades := map[string]func(*graph.Graph, Params, uint64) (*Result, error){
-		"cd":            SolveCD,
-		"beep":          SolveBeep,
-		"nocd":          SolveNoCD,
-		"lowdegree":     SolveLowDegree,
-		"naive-cd":      SolveNaiveCD,
-		"naive-nocd":    SolveNaiveNoCD,
-		"unknown-delta": SolveUnknownDelta,
-		"linear":        SolveLinear,
-	}
-	if got, want := len(facades), len(Algorithms()); got != want {
-		t.Fatalf("facade table covers %d algorithms, registry has %d", got, want)
-	}
-	for name, fn := range facades {
-		want, err := fn(g, p, 9)
-		if err != nil {
-			t.Fatalf("%s facade: %v", name, err)
+	for _, name := range Algorithms() {
+		spec := algoSpecs[name]
+		var want *Result
+		if spec.sequential != nil {
+			want = spec.sequential(g, p, 9)
+		} else {
+			var err error
+			want, err = runProgram(nil, g, spec.model, 9, faults.Profile{}, nil, spec.program(p))
+			if err != nil {
+				t.Fatalf("%s registry entry: %v", name, err)
+			}
 		}
 		got, err := Run(name, g, p, RunOpts{Seed: 9})
 		if err != nil {
 			t.Fatalf("Run(%s): %v", name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Run(%q) diverges from its facade", name)
+			t.Errorf("Run(%q) diverges from its registry entry", name)
 		}
 	}
 }

@@ -20,8 +20,8 @@ func TestEngineQuickRandomPrograms(t *testing.T) {
 		model := Model(int(modelRaw%3) + 1)
 		g := graph.GNP(n, 0.3, rng.New(seed))
 
-		rec := &RecordingTracer{}
-		res, err := Run(g, Config{Model: model, Seed: seed, Tracer: rec}, func(env *Env) int64 {
+		rec := &recordingObserver{}
+		res, err := Run(g, Config{Model: model, Seed: seed, Observer: rec}, func(env *Env) int64 {
 			for i := 0; i < steps; i++ {
 				switch env.Rand().Intn(3) {
 				case 0:
@@ -38,10 +38,10 @@ func TestEngineQuickRandomPrograms(t *testing.T) {
 			return false
 		}
 		var lastActive uint64
-		for _, ev := range rec.Events {
-			lastActive = ev.Round
+		for _, s := range rec.rounds {
+			lastActive = s.Round
 		}
-		if len(rec.Events) > 0 && res.Rounds != lastActive+1 {
+		if len(rec.rounds) > 0 && res.Rounds != lastActive+1 {
 			return false
 		}
 		for v, e := range res.Energy {

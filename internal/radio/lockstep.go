@@ -90,13 +90,13 @@ type LaneProgram interface {
 	Step(node int, due, heard uint64, act *LaneActions)
 }
 
-// LockstepBatch is the outcome of one RunLockstep call: per-lane results,
-// per-lane errors, and per-lane halt rounds.
+// LockstepBatch is the outcome of one RunLockstep call: per-lane results
+// and per-lane errors.
 type LockstepBatch struct {
-	// Results holds one Result per lane, in seed order. A lane's Result
-	// is always non-nil; on a lane error it carries the partial state at
-	// the point the lane died (matching the scalar engine's behavior for
-	// the same error).
+	// Results holds one Result per lane, in seed order, HaltRound
+	// included. A lane's Result is always non-nil; on a lane error it
+	// carries the partial state at the point the lane died (matching the
+	// scalar engine's behavior for the same error).
 	Results []*Result
 	// Errs holds the lane's terminal error, nil for lanes that ran to
 	// completion. Lane errors match the scalar engine's: ErrNotUnary for
@@ -104,11 +104,6 @@ type LockstepBatch struct {
 	// when the lane's next event would be at or past the round cap,
 	// ErrAborted (wrapping the context cause) on cancellation.
 	Errs []error
-	// HaltRounds[l][v] is the round at which node v's program halted in
-	// lane l (the scalar Tracer.NodeHalted round), or 0 if it never
-	// halted. Callers that need per-node decision rounds read them here;
-	// the lockstep engine has no Tracer.
-	HaltRounds [][]uint64
 }
 
 // lockstep is one run's lockstep scheduler state. Like sched, it is
@@ -169,10 +164,10 @@ type lockstep struct {
 //
 // Supported Config fields: Model, Ctx (cancellation + Pool lookup), Seed
 // is ignored (seeds come per lane), MaxRounds, WakeRound (shared by all
-// lanes), UnaryOnly. Observer, Tracer, and Faults are scalar-engine
-// features — configuring them is an error, not a silent no-op; Perf and
-// Shards are ignored (the lockstep coordinator is single-threaded: its
-// parallelism is the lanes).
+// lanes), UnaryOnly. Observer and Faults are scalar-engine features —
+// configuring them is an error, not a silent no-op; Perf and Shards are
+// ignored (the lockstep coordinator is single-threaded: its parallelism
+// is the lanes).
 //
 // Attach a Pool (WithPool) to reuse the engine's scratch and CSR snapshot
 // across batches, exactly like scalar Run.
@@ -183,7 +178,7 @@ func RunLockstep(g *graph.Graph, cfg Config, lp LaneProgram, seeds []uint64) (*L
 	if len(seeds) > MaxLanes {
 		return nil, fmt.Errorf("radio: RunLockstep got %d seeds, max %d lanes", len(seeds), MaxLanes)
 	}
-	if cfg.Observer != nil || cfg.Tracer != nil {
+	if cfg.Observer != nil {
 		return nil, fmt.Errorf("radio: RunLockstep does not support observers; use the scalar engine")
 	}
 	if !cfg.Faults.IsZero() {
@@ -198,7 +193,7 @@ func RunLockstep(g *graph.Graph, cfg Config, lp LaneProgram, seeds []uint64) (*L
 		maxRounds = DefaultMaxRounds
 	}
 	if len(seeds) == 0 {
-		return &LockstepBatch{Results: []*Result{}, Errs: []error{}, HaltRounds: [][]uint64{}}, nil
+		return &LockstepBatch{Results: []*Result{}, Errs: []error{}}, nil
 	}
 
 	lp.Bind(n, seeds)
@@ -572,27 +567,25 @@ func (ls *lockstep) results() *LockstepBatch {
 	energy := make([]uint64, lanes*n)
 	halts := make([]uint64, lanes*n)
 	batch := &LockstepBatch{
-		Results:    make([]*Result, lanes),
-		Errs:       make([]error, lanes),
-		HaltRounds: make([][]uint64, lanes),
+		Results: make([]*Result, lanes),
+		Errs:    make([]error, lanes),
 	}
 	for l := 0; l < lanes; l++ {
 		lo, hi := l*n, (l+1)*n
 		res := &Result{
-			Outputs: outs[lo:hi:hi],
-			Energy:  energy[lo:hi:hi],
-			Rounds:  ls.laneRounds[l],
+			Outputs:   outs[lo:hi:hi],
+			Energy:    energy[lo:hi:hi],
+			HaltRound: halts[lo:hi:hi],
+			Rounds:    ls.laneRounds[l],
 		}
-		hr := halts[lo:hi:hi]
 		for v := 0; v < n; v++ {
 			base := v*MaxLanes + l
 			res.Outputs[v] = ls.outs[base]
 			res.Energy[v] = ls.energy[base]
-			hr[v] = ls.haltR[base]
+			res.HaltRound[v] = ls.haltR[base]
 		}
 		batch.Results[l] = res
 		batch.Errs[l] = ls.laneErrs[l]
-		batch.HaltRounds[l] = hr
 	}
 	return batch
 }

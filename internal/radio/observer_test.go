@@ -1,9 +1,12 @@
 package radio
 
 import (
+	"reflect"
 	"testing"
 
+	"radiomis/internal/faults"
 	"radiomis/internal/graph"
+	"radiomis/internal/rng"
 )
 
 // invariantObserver asserts, on every observed round, the reception-outcome
@@ -199,46 +202,6 @@ func TestPhaseReturnsPreviousLabel(t *testing.T) {
 	}
 }
 
-func TestTracerAndObserverSeeSameRun(t *testing.T) {
-	// Attaching both a legacy Tracer and an Observer: the tracer (via the
-	// internal adapter) must see exactly the rounds and halts the observer
-	// sees, with identical awake sets.
-	g := graph.Complete(6)
-	tr := &RecordingTracer{}
-	o := &recordingObserver{}
-	_, err := Run(g, Config{Model: ModelNoCD, Seed: 7, Tracer: tr, Observer: o}, randomChatter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Events) != len(o.rounds) {
-		t.Fatalf("tracer saw %d rounds, observer %d", len(tr.Events), len(o.rounds))
-	}
-	for i, ev := range tr.Events {
-		s := o.rounds[i]
-		if ev.Round != s.Round {
-			t.Fatalf("round %d: tracer round %d != observer round %d", i, ev.Round, s.Round)
-		}
-		if len(ev.Transmitters) != len(s.Transmitters) || len(ev.Listeners) != len(s.Listeners) {
-			t.Fatalf("round %d: awake set sizes diverge", i)
-		}
-		for j, id := range ev.Transmitters {
-			if s.Transmitters[j].ID != id {
-				t.Errorf("round %d: transmitter %d is %d for tracer, %d for observer", i, j, id, s.Transmitters[j].ID)
-			}
-		}
-		for j, id := range ev.Listeners {
-			if s.Listeners[j].ID != id {
-				t.Errorf("round %d: listener %d is %d for tracer, %d for observer", i, j, id, s.Listeners[j].ID)
-			}
-		}
-	}
-	for id, round := range tr.HaltRound {
-		if o.halts[id] != round {
-			t.Errorf("node %d: tracer halt round %d, observer %d", id, round, o.halts[id])
-		}
-	}
-}
-
 func TestMultiObserverFansOut(t *testing.T) {
 	g := graph.Complete(4)
 	a, b := &recordingObserver{}, &recordingObserver{}
@@ -254,18 +217,57 @@ func TestMultiObserverFansOut(t *testing.T) {
 	}
 }
 
-func TestObserverFromTracerAdapts(t *testing.T) {
-	ct := &CountingTracer{}
-	obs := ObserverFromTracer(ct)
-	s := &RoundStats{
-		Round:        5,
-		Transmitters: []NodeTx{{ID: 1}},
-		Listeners:    []NodeRx{{ID: 2}, {ID: 3}},
+// TestResultHaltRoundMatchesObserveHalt pins Result.HaltRound to the halt
+// events: on both engines, clean and under crash-restart faults, each
+// node's entry is the round ObserveHalt reported for it, a node that never
+// halted reads 0, and an unobserved run records the same rounds.
+func TestResultHaltRoundMatchesObserveHalt(t *testing.T) {
+	g := graph.GNP(64, 0.1, rng.New(3))
+	engines := map[string]func(*graph.Graph, Config, Program) (*Result, error){
+		"sched":     Run,
+		"reference": runReference,
 	}
-	obs.ObserveRound(s)
-	obs.ObserveHalt(2, 0, 1, 6)
-	snap := ct.Snapshot()
-	if snap.ActiveRounds != 1 || snap.Transmissions != 1 || snap.Listens != 2 || snap.Halts != 1 {
-		t.Errorf("adapted tracer counters wrong: %+v", snap)
+	profiles := map[string]faults.Profile{
+		"clean":         {},
+		"crash-restart": {Crash: faults.Crash{Rate: 0.02, RestartAfter: 4, MaxRestarts: 1}},
+	}
+	for ename, run := range engines {
+		for pname, fp := range profiles {
+			t.Run(ename+"/"+pname, func(t *testing.T) {
+				cfg := Config{Model: ModelNoCD, Seed: 11, Faults: fp}
+				plain, err := run(g, cfg, randomChatter)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := &recordingObserver{}
+				cfg.Observer = rec
+				res, err := run(g, cfg, randomChatter)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.HaltRound, plain.HaltRound) {
+					t.Fatalf("HaltRound differs with and without an observer:\n%v\n%v", res.HaltRound, plain.HaltRound)
+				}
+				never := 0
+				for v, got := range res.HaltRound {
+					want, halted := rec.halts[v]
+					if !halted {
+						never++
+					}
+					if got != want {
+						t.Errorf("node %d: HaltRound %d, ObserveHalt round %d (halted %v)", v, got, want, halted)
+					}
+				}
+				if fp.IsZero() {
+					if never != 0 {
+						t.Errorf("%d nodes never halted on a clean run", never)
+					}
+					return
+				}
+				if never == 0 || res.Faults.Restarts == 0 {
+					t.Errorf("profile exercised too little: %d never halted, %d restarts", never, res.Faults.Restarts)
+				}
+			})
+		}
 	}
 }

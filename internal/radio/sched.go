@@ -278,7 +278,7 @@ func (s *sched) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, inj *faults.In
 	n := len(envs)
 	s.g, s.csr = g, csr
 	s.model, s.unaryOnly = cfg.Model, cfg.UnaryOnly
-	s.obs = cfg.observer()
+	s.obs = cfg.Observer
 	s.inj = inj
 	s.envs, s.res = envs, res
 	s.maxRounds = maxRounds
@@ -560,6 +560,7 @@ func (s *sched) fastRound(r uint64) error {
 				break
 			}
 			s.active--
+			s.res.HaltRound[h.id] = r
 			if s.obs != nil {
 				s.obs.ObserveHalt(int(h.id), h.output, s.res.Energy[h.id], r)
 			}
@@ -677,6 +678,7 @@ func (s *sched) faultRound(r uint64) error {
 				sh.push(r+it.sleep, r, id)
 			case intentHalt:
 				res.Outputs[id] = it.result
+				res.HaltRound[id] = r
 				s.active--
 				if obs != nil {
 					obs.ObserveHalt(int(id), it.result, res.Energy[id], r)

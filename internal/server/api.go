@@ -177,19 +177,24 @@ func (r *JobRequest) Normalize() error {
 // ResolveEngine reports the trial engine a normalized solve request runs
 // on: lockstep when the job is eligible (lane-capable algorithm,
 // seed-invariant family, no faults) and the request does not force
-// scalar; scalar otherwise. The executor and the cluster coordinator's
-// shard merge both use it, so a merged result reports the same engine a
-// single-node run would.
-func ResolveEngine(req JobRequest) string {
+// scalar; scalar otherwise. For scalar it also returns why — "forced",
+// "faults", "algorithm" or "family", the reason label of the fallback
+// counter — and "" for lockstep. The executor and the cluster
+// coordinator's shard merge both use it, so a merged result reports the
+// same engine a single-node run would.
+func ResolveEngine(req JobRequest) (engine, fallback string) {
 	fam, err := graph.ParseFamily(req.Family)
-	if err != nil {
-		return mis.EngineScalar
+	switch {
+	case req.Engine == mis.EngineScalar:
+		return mis.EngineScalar, "forced"
+	case req.Faults != nil:
+		return mis.EngineScalar, "faults"
+	case !mis.LockstepCapable(req.Algorithm):
+		return mis.EngineScalar, "algorithm"
+	case err != nil || !fam.SeedInvariant():
+		return mis.EngineScalar, "family"
 	}
-	if req.Engine != mis.EngineScalar && req.Faults == nil &&
-		mis.LockstepCapable(req.Algorithm) && fam.SeedInvariant() {
-		return mis.EngineLockstep
-	}
-	return mis.EngineScalar
+	return mis.EngineLockstep, ""
 }
 
 // Key returns the canonical cache key: the hex SHA-256 of the normalized
@@ -359,22 +364,6 @@ type ShardEvent struct {
 	Total       int    `json:"total,omitempty"`
 	Error       string `json:"error,omitempty"`
 	TraceID     string `json:"traceId,omitempty"`
-}
-
-// scalarFallbackReason explains why a normalized solve request resolved to
-// the scalar engine, for the reason-labeled fallback counter. Call only
-// when ResolveEngine returned scalar.
-func scalarFallbackReason(req JobRequest) string {
-	switch {
-	case req.Engine == mis.EngineScalar:
-		return "forced"
-	case req.Faults != nil:
-		return "faults"
-	case !mis.LockstepCapable(req.Algorithm):
-		return "algorithm"
-	default:
-		return "family"
-	}
 }
 
 // heartbeatEvent is a keep-alive line written to idle event streams every

@@ -868,54 +868,47 @@ func execute(ctx context.Context, req JobRequest) (*JobResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		hopts := harness.Options{Trials: req.Trials, Seed: req.Seed, SeedOffset: req.TrialOffset}
-		var agg *harness.Aggregate
-		engine := ResolveEngine(req)
-		if engine == mis.EngineLockstep {
-			// A seed-invariant family generates the same graph at every
-			// trial seed, so the whole batch can share one topology (and
-			// parameter set) and run as bit-lanes of the lockstep engine.
-			// Per-trial rows are bit-identical to the scalar path.
-			g := graph.Generate(fam, req.N, rng.New(req.Seed))
-			p := mis.ParamsDefault(g.N(), g.MaxDegree())
-			reg := telemetry.FromContext(ctx)
-			agg, err = harness.RepeatBatches(ctx, hopts, radio.MaxLanes,
-				func(ctx context.Context, _ int, seeds []uint64) ([]harness.Metrics, error) {
-					results, err := mis.RunMany(req.Algorithm, g, p,
-						mis.ManyOpts{Seeds: seeds, Ctx: ctx, Engine: mis.EngineLockstep})
-					if err != nil {
-						return nil, err
-					}
-					ms := make([]harness.Metrics, len(results))
-					for i, res := range results {
-						ms[i] = solveTrialMetrics(g, res, false)
-					}
-					if reg != nil {
-						reg.Counter(MetricEngineLaneTrials, metricEngineLaneTrialsHelp).Add(uint64(len(results)))
-						reg.CountHistogram(MetricEngineLanesOccupied, metricEngineLanesOccupiedHelp).Observe(uint64(len(results)))
-					}
-					return ms, nil
-				})
-		} else {
-			if reg := telemetry.FromContext(ctx); reg != nil {
-				reg.CounterVec(MetricEngineScalarFallback, metricEngineScalarFallbackHelp, "reason").
-					With(scalarFallbackReason(req)).Add(uint64(req.Trials))
-			}
-			var fp faults.Profile
-			if req.Faults != nil {
-				fp = *req.Faults
-			}
-			agg, err = harness.Repeat(ctx, hopts,
-				func(ctx context.Context, seed uint64) (harness.Metrics, error) {
-					g := graph.Generate(fam, req.N, rng.New(seed))
-					p := mis.ParamsDefault(g.N(), g.MaxDegree())
-					res, err := mis.SolveWithFaults(ctx, req.Algorithm, g, p, seed, fp)
-					if err != nil {
-						return nil, err
-					}
-					return solveTrialMetrics(g, res, req.Faults != nil), nil
-				})
+		var fp faults.Profile
+		if req.Faults != nil {
+			fp = *req.Faults
 		}
+		// Lockstep jobs run up to radio.MaxLanes trials per engine call as
+		// bit-lanes over one shared graph, which ResolveEngine only allows
+		// for seed-invariant families: generating from the batch's first
+		// seed gives every batch the same topology. Scalar jobs run one
+		// trial per call on a graph generated from the trial's own seed.
+		// Per-trial rows are bit-identical on either engine.
+		engine, fallback := ResolveEngine(req)
+		group := 1
+		if engine == mis.EngineLockstep {
+			group = radio.MaxLanes
+		}
+		reg := telemetry.FromContext(ctx)
+		hopts := harness.Options{Trials: req.Trials, Seed: req.Seed, SeedOffset: req.TrialOffset}
+		agg, err := harness.RepeatBatches(ctx, hopts, group,
+			func(ctx context.Context, _ int, seeds []uint64) ([]harness.Metrics, error) {
+				g := graph.Generate(fam, req.N, rng.New(seeds[0]))
+				p := mis.ParamsDefault(g.N(), g.MaxDegree())
+				results, err := mis.RunMany(req.Algorithm, g, p,
+					mis.ManyOpts{Seeds: seeds, Ctx: ctx, Faults: fp, Engine: engine})
+				if err != nil {
+					return nil, err
+				}
+				ms := make([]harness.Metrics, len(results))
+				for i, res := range results {
+					ms[i] = solveTrialMetrics(g, res, req.Faults != nil)
+				}
+				switch {
+				case reg == nil:
+				case engine == mis.EngineLockstep:
+					reg.Counter(MetricEngineLaneTrials, metricEngineLaneTrialsHelp).Add(uint64(len(results)))
+					reg.CountHistogram(MetricEngineLanesOccupied, metricEngineLanesOccupiedHelp).Observe(uint64(len(results)))
+				default:
+					reg.CounterVec(MetricEngineScalarFallback, metricEngineScalarFallbackHelp, "reason").
+						With(fallback).Add(uint64(len(results)))
+				}
+				return ms, nil
+			})
 		if err != nil {
 			return nil, err
 		}
