@@ -38,13 +38,6 @@ type JSONHost struct {
 	GOARCH     string `json:"goarch"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"numCpu"`
-	// PoolShards is the engine shard count each harness worker's
-	// radio.Pool gets at the suite's trial parallelism (experiments run
-	// harness.Repeat at the default parallelism, GOMAXPROCS).
-	PoolShards int `json:"poolShards"`
-	// Pooled records that trials run on per-worker engine pools (always
-	// true for harness batches; recorded so readers need not know that).
-	Pooled bool `json:"pooled"`
 }
 
 // CaptureHost snapshots the current process's host configuration.
@@ -55,8 +48,6 @@ func CaptureHost() *JSONHost {
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		PoolShards: harness.PoolShards(0),
-		Pooled:     true,
 	}
 }
 

@@ -131,6 +131,9 @@ func (in *Injector) Restart(id int) (delay uint64, ok bool) {
 	return c.RestartAfter, true
 }
 
+// Restarts returns how many times node id has rebooted so far.
+func (in *Injector) Restarts(id int) int { return in.restarts[id] }
+
 // JamRound decides whether the adversary jams a round with nTx observed
 // transmitters, spending one unit of budget when it does. The strategy is
 // greedy-online: any round at or above the contention threshold is worth

@@ -196,18 +196,13 @@ func RepeatBatches(ctx context.Context, opts Options, group int, f BatchFunc) (*
 		next      = make(chan int)
 	)
 	// Each worker owns one radio.Pool for its whole share of the batch, so
-	// consecutive trials reuse the engine's worker shards, round buffers,
-	// and CSR adjacency snapshot instead of rebuilding them per trial.
-	// Splitting the machine's parallelism across the workers keeps a
-	// parallel batch from oversubscribing cores with engine shards.
-	shardsPer := PoolShards(par)
+	// consecutive trials reuse the engine's round buffers and CSR
+	// adjacency snapshot instead of rebuilding them per trial.
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool := radio.NewPool(shardsPer)
-			defer pool.Close()
-			wctx := radio.WithPool(tctx, pool)
+			wctx := radio.WithPool(tctx, radio.NewPool())
 			seeds := make([]uint64, 0, group)
 			for off := range next {
 				if tctx.Err() != nil {
@@ -289,22 +284,6 @@ feed:
 		}
 	}
 	return agg, nil
-}
-
-// PoolShards reports the engine shard count each Repeat worker's
-// radio.Pool gets at the given trial parallelism (≤ 0 means GOMAXPROCS):
-// the machine's parallelism divided across the workers, at least 1. It is
-// exported so report headers (benchsuite's host section) can record the
-// exact pool configuration Repeat used.
-func PoolShards(parallelism int) int {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	shards := runtime.GOMAXPROCS(0) / parallelism
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
 }
 
 // Point is one x-position of a series (typically a network size) with its

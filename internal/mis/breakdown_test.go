@@ -4,26 +4,56 @@ import (
 	"testing"
 
 	"radiomis/internal/graph"
+	"radiomis/internal/obs"
 	"radiomis/internal/rng"
 )
 
-func TestBreakdownSumsToTotalEnergy(t *testing.T) {
-	// Every awake round belongs to exactly one segment, so the breakdown
-	// must account for each node's energy exactly.
-	g := graph.GNP(64, 0.1, rng.New(120))
-	p := ParamsDefault(g.N(), g.MaxDegree())
-	res, bd, err := SolveNoCDBreakdown(g, p, 5)
+// noCDSegments runs Algorithm 2 with a PhaseBreakdown attached and folds
+// its phase labels into the three segments of the ablation analysis:
+// competition, checks (deep check, announce, shallow check), and
+// LowDegreeMIS. Slices are indexed by node.
+func noCDSegments(t *testing.T, g *graph.Graph, p Params, seed uint64) (res *Result, comp, checks, low []uint64) {
+	t.Helper()
+	bd := obs.NewPhaseBreakdown(g.N())
+	res, err := Run("nocd", g, p, RunOpts{Seed: seed, Observer: bd})
 	if err != nil {
 		t.Fatal(err)
 	}
+	seg := func(names ...string) []uint64 {
+		out := make([]uint64, g.N())
+		for _, name := range names {
+			if ps := bd.Phase(name); ps != nil {
+				for v, e := range ps.Awake {
+					out[v] += e
+				}
+			}
+		}
+		return out
+	}
+	return res, seg("competition"), seg("deep-check", "announce", "shallow-check"), seg("low-degree")
+}
+
+func total(xs []uint64) uint64 {
+	var s uint64
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+func TestBreakdownSumsToTotalEnergy(t *testing.T) {
+	// Every awake round carries exactly one of the five segment labels, so
+	// the three segments must account for each node's energy exactly.
+	g := graph.GNP(64, 0.1, rng.New(120))
+	p := ParamsDefault(g.N(), g.MaxDegree())
+	res, comp, checks, low := noCDSegments(t, g, p, 5)
 	if err := res.Check(g); err != nil {
 		t.Fatal(err)
 	}
 	for v := range res.Energy {
-		sum := bd.Competition[v] + bd.Checks[v] + bd.LowDegree[v]
-		if sum != res.Energy[v] {
+		if sum := comp[v] + checks[v] + low[v]; sum != res.Energy[v] {
 			t.Fatalf("node %d: breakdown sums to %d, energy is %d (comp=%d checks=%d low=%d)",
-				v, sum, res.Energy[v], bd.Competition[v], bd.Checks[v], bd.LowDegree[v])
+				v, sum, res.Energy[v], comp[v], checks[v], low[v])
 		}
 	}
 }
@@ -37,10 +67,7 @@ func TestBreakdownMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, _, err := SolveNoCDBreakdown(g, p, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst, _, _, _ := noCDSegments(t, g, p, 9)
 	for v := range plain.Status {
 		if plain.Status[v] != inst.Status[v] || plain.Energy[v] != inst.Energy[v] {
 			t.Fatalf("node %d diverged under instrumentation", v)
@@ -55,11 +82,8 @@ func TestBreakdownSegmentProfile(t *testing.T) {
 	// majority of all energy.
 	g := graph.Cycle(96)
 	p := ParamsDefault(96, 2)
-	_, bd, err := SolveNoCDBreakdown(g, p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, checks, low := bd.Totals()
+	_, c, k, l := noCDSegments(t, g, p, 3)
+	comp, checks, low := total(c), total(k), total(l)
 	if comp == 0 || checks == 0 {
 		t.Fatal("empty breakdown")
 	}
@@ -70,15 +94,4 @@ func TestBreakdownSegmentProfile(t *testing.T) {
 		t.Errorf("competition+checks (%d) should dwarf lowdegree (%d)", comp+checks, low)
 	}
 	t.Logf("competition=%d checks=%d lowdegree=%d", comp, checks, low)
-}
-
-func TestNewEnergyBreakdownShape(t *testing.T) {
-	bd := NewEnergyBreakdown(5)
-	if len(bd.Competition) != 5 || len(bd.Checks) != 5 || len(bd.LowDegree) != 5 {
-		t.Error("collector slices sized wrong")
-	}
-	c, k, l := bd.Totals()
-	if c != 0 || k != 0 || l != 0 {
-		t.Error("fresh collector not zero")
-	}
 }

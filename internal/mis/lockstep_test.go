@@ -176,9 +176,7 @@ func TestRunManyEmptyAndPooled(t *testing.T) {
 		t.Fatalf("empty batch = (%v, %v), want ([], nil)", results, err)
 	}
 	// A pooled rerun must be bit-identical to the cold run.
-	pool := radio.NewPool(0)
-	defer pool.Close()
-	ctx := radio.WithPool(context.Background(), pool)
+	ctx := radio.WithPool(context.Background(), radio.NewPool())
 	seeds := manySeeds(11, 65)
 	cold, err := RunMany("cd", g, p, ManyOpts{Seeds: seeds})
 	if err != nil {

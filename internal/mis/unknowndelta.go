@@ -94,11 +94,11 @@ func UnknownDeltaProgram(p Params) radio.Program {
 			// nodes sleep, everyone else competes.
 			switch verdict {
 			case StatusInMIS:
-				verdict = Status(runNoCD(env, pg, compInMIS, nil))
+				verdict = Status(runNoCD(env, pg, compInMIS))
 			case StatusOutMIS:
 				env.Sleep(NoCDRoundBudget(pg))
 			default:
-				verdict = Status(runNoCD(env, pg, compUndecided, nil))
+				verdict = Status(runNoCD(env, pg, compUndecided))
 			}
 
 			// Independence window.

@@ -4,8 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math/rand"
 
 	"radiomis/internal/faults"
 	"radiomis/internal/graph"
@@ -63,19 +62,11 @@ type Config struct {
 	// the paper's §1.3 claim that its algorithms perform only unary
 	// communication (and are therefore beeping-compatible).
 	UnaryOnly bool
-	// Shards fixes the round scheduler's worker-shard count. 0 means
-	// automatic (scaled to GOMAXPROCS and the graph size, and never more
-	// than an installed Pool provides). The result of a run is bit-for-bit
-	// independent of the shard count; Shards only trades scheduling
-	// overhead against parallelism. See the package Pool for reusing
-	// worker shards across runs.
-	Shards int
 	// Perf, when non-nil, receives the run's scheduler performance
-	// counters (barrier waits, shard busy time, pool/CSR reuse, buffer
-	// growth — see RunPerf). Collection is out-of-band: the Result and
+	// counters (loop wall time, pool/CSR reuse, buffer growth, round
+	// slices — see RunPerf). Collection is out-of-band: the Result and
 	// observer stream are bit-identical with Perf set or nil, and a nil
-	// Perf costs the scheduler nothing. The preserved reference engine
-	// ignores it.
+	// Perf costs the scheduler nothing.
 	Perf *RunPerf
 }
 
@@ -159,17 +150,22 @@ const intentBuf = 16
 // exhausted; in that case all node goroutines are torn down before Run
 // returns.
 //
-// Runs execute on the sharded round scheduler (see sched.go): a fixed set
-// of worker shards advances all awake nodes one phase-barriered round at a
-// time. Attach a Pool (WithPool) to reuse the scheduler's workers and round
-// buffers across many runs, e.g. across the trials of a benchmark batch.
+// Runs execute on the round scheduler (see sched.go), which advances all
+// awake nodes one round at a time. Attach a Pool (WithPool) to reuse the
+// scheduler's round buffers and CSR snapshot across many runs, e.g. across
+// the trials of a benchmark batch.
 func Run(g *graph.Graph, cfg Config, program Program) (*Result, error) {
-	return run(g, cfg, program, false)
+	return run(g, cfg, program, coordinate)
 }
 
-// run is the shared entry point behind Run (sharded scheduler) and
-// runReference (the pre-rework engine kept for differential testing).
-func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, error) {
+// coordinator drives one run's round loop over the node lives in ns until
+// every node has halted or terminally crashed. Run plugs in the scheduler
+// (coordinate); the tests plug in a reference engine.
+type coordinator func(g *graph.Graph, cfg *Config, inj *faults.Injector, maxRounds uint64, ns *nodes, wakes []uint64, res *Result) error
+
+// run validates cfg, starts one goroutine per node, hands the round loop
+// to coord, and stops every node's life before it returns.
+func run(g *graph.Graph, cfg Config, program Program, coord coordinator) (*Result, error) {
 	if cfg.Model < ModelCD || cfg.Model > ModelBeep {
 		return nil, fmt.Errorf("radio: invalid model %v", cfg.Model)
 	}
@@ -206,158 +202,69 @@ func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, 
 			res.Crashed = make([]bool, n)
 		}
 	}
-	kill := make(chan struct{})
-	down := new(atomic.Bool)
-	var wg sync.WaitGroup
-	envs := make([]*Env, n)
+	ns := &nodes{envs: make([]*Env, n), program: program, seed: cfg.Seed}
 	wakes := make([]uint64, n)
-	// The reference engine keeps the historical single-slot rendezvous so
-	// differential benchmarks measure the pre-rework synchronization cost.
-	buf := intentBuf
-	if reference {
-		buf = 1
-	}
-	// The select-free channel discipline (Env.fast) needs nothing able to
-	// preempt a blocked node: no crash faults, and not the reference
-	// engine (whose select cost is preserved deliberately).
-	fast := !reference && (inj == nil || !inj.HasCrash())
-	for i := 0; i < n; i++ {
+	for i := range wakes {
 		switch {
 		case cfg.WakeRound != nil:
 			wakes[i] = cfg.WakeRound[i]
 		case inj != nil:
 			wakes[i] = inj.WakeRound(i)
 		}
-		envs[i] = &Env{
-			id:       i,
-			n:        n,
-			rand:     rng.ForNode(cfg.Seed, i),
-			round:    wakes[i],
-			intentCh: make(chan intent, buf),
-			replyCh:  make(chan Reception, 1),
-			kill:     kill,
-			fast:     fast,
-			down:     down,
-		}
-		if inj != nil && inj.HasCrash() {
-			envs[i].crashCh = make(chan crashSignal)
-		}
-	}
-	for i := 0; i < n; i++ {
-		env := envs[i]
-		wg.Add(1)
-		// Each node runs under a supervisor loop: one program invocation
-		// per "life". A crash fault unwinds the current life via a
-		// crashSignal panic; crash-restart lives re-run the program from
-		// scratch at the coordinator-scheduled resume round.
-		go func() {
-			defer wg.Done()
-			for life := uint64(0); ; life++ {
-				sig, crashed := runLife(env, program)
-				if !crashed {
-					if env.crashCh == nil {
-						return // halted or engine shutdown; no crash faults
-					}
-					// Halted — but the crash decision for this life's final
-					// transmit may still be in flight: the program can buffer
-					// its halt intent and return before the coordinator
-					// (blocked on the unbuffered crash channel) delivers the
-					// signal. Stay receptive until the engine shuts down so
-					// that send always finds a receiver.
-					select {
-					case sig = <-env.crashCh:
-						// The crash struck the final action after all; handle
-						// it exactly like an in-flight crash.
-					case <-env.kill:
-						return
-					}
-				}
-				if !sig.restart {
-					return // crash-stop
-				}
-				// Reboot: the dying life may have buffered intents after the
-				// coordinator consumed its last one (up to the channel
-				// depth); discard them so the next life starts clean. This
-				// runs on the same goroutine that buffered them, so the
-				// drain is race-free and complete.
-				for drained := false; !drained; {
-					select {
-					case <-env.intentCh:
-					default:
-						drained = true
-					}
-				}
-				env.round = sig.resumeRound
-				env.energy = 0
-				env.phase = ""
-				// A dying life may have drawn from its random stream after
-				// the crash was decided but before it observed the signal —
-				// how many draws depends on goroutine scheduling. A fresh
-				// per-life stream keeps rebooted runs deterministic (and
-				// matches reality: a rebooted device reseeds its PRNG).
-				env.rand = rng.ForNode(rng.Mix(cfg.Seed, lifeSalt+life), env.id)
-				// Ack the coordinator: the old life is fully unwound and its
-				// stale intent drained, so the next life's intents are the
-				// only thing the coordinator can observe from this node.
-				env.crashCh <- crashSignal{}
-			}
-		}()
+		ns.start(i, wakes[i], rng.ForNode(cfg.Seed, i))
 	}
 
-	var err error
-	if reference {
-		err = coordinateReference(g, cfg, inj, maxRounds, envs, wakes, res)
-	} else {
-		err = coordinate(g, cfg, inj, maxRounds, envs, wakes, res)
-	}
+	err := coord(g, &cfg, inj, maxRounds, ns, wakes, res)
 	if inj != nil {
 		stats := inj.Stats()
 		res.Faults = &stats
 	}
-	// Tear the node goroutines down. Fast-discipline nodes have no kill
-	// case in their channel operations; they observe shutdown through the
-	// down flag (checked before every send) and the closed reply channel
-	// (for a node blocked in Listen). Raising the flag before the drain
-	// below guarantees a sender it unblocks cannot submit again: its next
-	// submit sees the flag and unwinds. Select-discipline nodes observe
-	// the kill channel directly once their buffered intents are drained.
-	down.Store(true)
-	close(kill)
-	for _, env := range envs {
-		if env.fast {
-			close(env.replyCh)
-		}
-		for drained := false; !drained; {
-			select {
-			case <-env.intentCh:
-			default:
-				drained = true
-			}
-		}
+	// Tear down: stopLife returns only once the life's goroutine has
+	// closed its intent channel on exit, so no node outlives the run.
+	for _, env := range ns.envs {
+		env.stopLife()
 	}
-	wg.Wait()
 	return res, err
 }
 
-// runLife executes one life of a node program: from (re)start to a normal
-// halt, an engine shutdown, or a crash fault. It reports whether the life
-// ended in a crash and, if so, the signal carrying the restart decision.
-func runLife(env *Env, program Program) (sig crashSignal, crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch v := r.(type) {
-			case killedError:
-				// Engine shutdown; exit quietly.
-			case crashSignal:
-				sig, crashed = v, true
-			default:
-				panic(r) // real bug in a node program
-			}
-		}
-	}()
-	out := program(env)
-	env.submit(intent{kind: intentHalt, result: out})
-	return crashSignal{}, false
+// nodes holds a run's node lives: one Env, driven by one goroutine, per
+// node. A crash-restart fault replaces a node's Env with a fresh life.
+type nodes struct {
+	envs    []*Env
+	program Program
+	seed    uint64
+}
+
+// start launches a life of node id whose first action takes place at round.
+func (ns *nodes) start(id int, round uint64, rand *rand.Rand) {
+	env := &Env{
+		id:       id,
+		n:        len(ns.envs),
+		rand:     rand,
+		round:    round,
+		intentCh: make(chan intent, intentBuf),
+		replyCh:  make(chan Reception, 1),
+	}
+	ns.envs[id] = env
+	go env.live(ns.program)
+}
+
+// crash ends node id's current life on a crash fault at round r. When the
+// injector reboots the node, crash starts its next life and reports the
+// round that life begins at; otherwise the node is dead for good.
+//
+// A rebooted life draws from a fresh per-life stream: the dying life may
+// have drawn from its stream after the crash was decided (how often
+// depends on goroutine scheduling), and a rebooted device reseeds its PRNG.
+func (ns *nodes) crash(id int, r uint64, inj *faults.Injector) (resume uint64, restarted bool) {
+	ns.envs[id].stopLife()
+	delay, ok := inj.Restart(id)
+	if !ok {
+		return 0, false
+	}
+	life := uint64(inj.Restarts(id) - 1)
+	ns.start(id, r+delay, rng.ForNode(rng.Mix(ns.seed, lifeSalt+life), id))
+	return r + delay, true
 }
 
 // eventHeap is a binary min-heap of pending node wake-ups ordered by

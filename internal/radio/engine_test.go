@@ -353,7 +353,9 @@ func TestContextAbortsRun(t *testing.T) {
 	g := graph.New(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	started := make(chan struct{})
+	// Buffered so the node's one non-blocking signal at round 3 is never
+	// lost when it gets there before this goroutine waits for it.
+	started := make(chan struct{}, 1)
 	go func() {
 		_, err := Run(g, Config{Model: ModelCD, Seed: 1, Ctx: ctx}, func(env *Env) int64 {
 			for {

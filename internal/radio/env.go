@@ -11,54 +11,31 @@ import (
 // node: it sleeps forever and spends no further energy.
 type Program func(env *Env) int64
 
-// errKilled is the sentinel panic value used to unwind node goroutines when
-// the engine aborts a run (e.g. on exceeding MaxRounds).
+// killedError is the sentinel panic value that unwinds a node goroutine
+// when the engine ends its life (run teardown or a crash fault).
 type killedError struct{}
 
 func (killedError) Error() string { return "radio: node killed by engine shutdown" }
 
-// crashSignal is the sentinel panic value delivered to a node goroutine
-// when the fault injector crashes it. The coordinator sends it on the
-// node's crash channel; submit and Listen receive it at the node's next
-// blocking point and panic with it, unwinding the current program life.
-// The node's supervisor loop (see Run) recovers it and either lets the
-// node die (crash-stop) or re-runs the program (crash-restart).
-type crashSignal struct {
-	// restart reports whether the node reboots; false means crash-stop.
-	restart bool
-	// resumeRound is the round the rebooted program starts at.
-	resumeRound uint64
-}
-
 // Env is a node's handle on the simulated radio network. All methods must
 // be called from the node's own program goroutine. An Env is not safe for
 // use from other goroutines.
+//
+// An Env backs exactly one life of the node: its program runs from a fresh
+// start until it halts or the engine stops it. A crash-restart fault gives
+// the node a fresh Env (and goroutine) for its next life.
 type Env struct {
 	id    int
 	n     int
 	rand  *rand.Rand
 	round uint64 // round at which the node's next action takes place
 
+	// The channel discipline is a plain buffered send per action and a
+	// plain receive per Listen. stopped is raised by stopLife and checked
+	// before every send; see stopLife for why no send blocks for good.
 	intentCh chan intent
 	replyCh  chan Reception
-	kill     chan struct{}
-	// crashCh delivers crash faults from the coordinator; nil unless the
-	// run's fault profile enables crashes (a nil channel never selects, so
-	// clean runs pay nothing for the extra case).
-	crashCh chan crashSignal
-	// fast selects the select-free channel discipline: submit is a plain
-	// (buffered) send guarded by one atomic load of down, and Listen a
-	// plain receive — roughly a third of the cost of the historical
-	// three-way selects. It is enabled whenever nothing can preempt a
-	// blocked node mid-run: the sharded scheduler with no crash faults
-	// configured. Crash-fault runs keep the select discipline because a
-	// blocked node must stay receptive to crashCh, and the reference
-	// engine keeps it because that synchronization cost is part of what
-	// it preserves. See run's teardown for the fast shutdown protocol.
-	fast bool
-	// down is the run-wide teardown flag backing the fast discipline
-	// (shared by all of the run's Envs).
-	down *atomic.Bool
+	stopped  atomic.Bool
 
 	energy uint64
 	phase  string // current phase label, stamped onto awake intents
@@ -119,21 +96,11 @@ func (e *Env) Listen() Reception {
 	e.submit(intent{kind: intentListen, phase: e.phase})
 	e.round++
 	e.energy++
-	if e.fast {
-		r, ok := <-e.replyCh
-		if !ok {
-			panic(killedError{}) // replyCh closed: engine shutdown
-		}
-		return r
+	r, ok := <-e.replyCh
+	if !ok {
+		panic(killedError{}) // replyCh closed: the life was stopped
 	}
-	select {
-	case r := <-e.replyCh:
-		return r
-	case sig := <-e.crashCh:
-		panic(sig)
-	case <-e.kill:
-		panic(killedError{})
-	}
+	return r
 }
 
 // Sleep puts the node to sleep for k rounds (no energy). k ≤ 0 is a no-op.
@@ -154,24 +121,42 @@ func (e *Env) SleepUntil(round uint64) {
 	}
 }
 
+// submit hands the node's next action to the engine. Once the life is
+// stopped, stopLife drains intentCh until the goroutine exits, so a send
+// already blocked on a full buffer completes, and the node unwinds here
+// on its next action.
 func (e *Env) submit(it intent) {
-	if e.fast {
-		// Plain buffered send, guarded by the teardown flag: once the
-		// engine raises down it drains intentCh exactly once, so a send
-		// already blocked on a full buffer completes (and the node
-		// unwinds here on its next action), while no new send can block.
-		if e.down.Load() {
-			panic(killedError{})
+	if e.stopped.Load() {
+		panic(killedError{})
+	}
+	e.intentCh <- it
+}
+
+// live runs one life of program on e, from its first action until it
+// halts or the engine stops it. Closing intentCh on exit is the life's
+// last act; stopLife waits for it.
+func (e *Env) live(program Program) {
+	defer close(e.intentCh)
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killedError); !ok {
+				panic(r) // real bug in a node program
+			}
 		}
-		e.intentCh <- it
+	}()
+	e.submit(intent{kind: intentHalt, result: program(e)})
+}
+
+// stopLife ends the life, from the engine's side: raise stopped, close
+// replyCh (unblocking a node waiting in Listen), then drain intentCh until
+// the node goroutine closes it on exit. It serves both run teardown and
+// crash faults, and stopping a stopped life is a no-op.
+func (e *Env) stopLife() {
+	if e.stopped.Swap(true) {
 		return
 	}
-	select {
-	case e.intentCh <- it:
-	case sig := <-e.crashCh:
-		panic(sig)
-	case <-e.kill:
-		panic(killedError{})
+	close(e.replyCh)
+	for range e.intentCh {
 	}
 }
 

@@ -165,9 +165,8 @@ type lockstep struct {
 // Supported Config fields: Model, Ctx (cancellation + Pool lookup), Seed
 // is ignored (seeds come per lane), MaxRounds, WakeRound (shared by all
 // lanes), UnaryOnly. Observer and Faults are scalar-engine features —
-// configuring them is an error, not a silent no-op; Perf and Shards are
-// ignored (the lockstep coordinator is single-threaded: its parallelism
-// is the lanes).
+// configuring them is an error, not a silent no-op; Perf is ignored (its
+// counters describe the scalar scheduler's round loop).
 //
 // Attach a Pool (WithPool) to reuse the engine's scratch and CSR snapshot
 // across batches, exactly like scalar Run.
@@ -484,7 +483,7 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 	}
 
 	// Per-lane round accounting and reception, mirroring the scalar
-	// fastRound: a lane's Rounds advances only in rounds where it had a
+	// sched.step: a lane's Rounds advances only in rounds where it had a
 	// transmitter or listener, and an erroring lane's final round never
 	// counts (the scalar run aborts before the update).
 	var activeOr uint64

@@ -254,8 +254,7 @@ func runBothLockstep(t *testing.T, g *graph.Graph, cfg Config, pair lanePair, se
 	batch, err := RunLockstep(g, cfg, pair.lane(), seeds)
 	check(t, "standalone", batch, err)
 
-	pool := NewPool(2)
-	defer pool.Close()
+	pool := NewPool()
 	base := cfg.Ctx
 	if base == nil {
 		base = context.Background()
@@ -488,8 +487,7 @@ func TestLockstepParityMaxRounds(t *testing.T) {
 func TestLockstepRagged65(t *testing.T) {
 	g := graph.GNP(200, 4.0/200, rand.New(rand.NewSource(11)))
 	seeds := laneSeeds(65, 9)
-	pool := NewPool(2)
-	defer pool.Close()
+	pool := NewPool()
 	ctx := WithPool(context.Background(), pool)
 	pair := lockstepPairs()["bench"]
 
@@ -534,8 +532,7 @@ func TestLockstepRejectsScalarOnlyConfig(t *testing.T) {
 // header per lane) — nothing per round or per node.
 func TestLockstepPooledSteadyStateAllocs(t *testing.T) {
 	g := graph.GNP(512, 8.0/512, rand.New(rand.NewSource(7)))
-	pool := NewPool(1)
-	defer pool.Close()
+	pool := NewPool()
 	ctx := WithPool(context.Background(), pool)
 	lp := &benchLaneProgram{}
 	seeds := laneSeeds(64, 2)

@@ -2,26 +2,23 @@ package radio
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"radiomis/internal/faults"
 	"radiomis/internal/graph"
 )
 
-// Pool is a reusable backend for the sharded round scheduler: a fixed set
-// of worker goroutines plus all per-run scratch (shard buffers, transmitter
-// bitset, observer scratch) and a one-entry CSR adjacency cache. A single
-// Run pays the pool's costs — spawning workers, building the CSR snapshot,
-// growing buffers — once; installing a Pool on the run context lets a batch
-// of runs (harness.Repeat / Sweep trials, the radiomisd job loop) amortize
-// them across every trial on the same graph.
+// Pool is a reusable backend for the round scheduler: all per-run scratch
+// (round buffers, transmitter bitset, observer scratch, lockstep lane
+// state) and a one-entry CSR adjacency cache. A single Run pays the
+// pool's costs — building the CSR snapshot, growing buffers — once;
+// installing a Pool on the run context lets a batch of runs
+// (harness.Repeat / Sweep trials, the radiomisd job loop) amortize them
+// across every trial on the same graph.
 //
 // Use it as:
 //
-//	pool := radio.NewPool(0)
-//	defer pool.Close()
-//	ctx := radio.WithPool(context.Background(), pool)
+//	ctx := radio.WithPool(context.Background(), radio.NewPool())
 //	// every radio.Run whose Config.Ctx descends from ctx uses the pool
 //
 // A Pool serializes the runs it backs (concurrent runs on one Pool simply
@@ -29,11 +26,9 @@ import (
 // never change simulation results: a run behaves bit-identically with and
 // without one.
 type Pool struct {
-	mu      sync.Mutex
-	workers int
-	ws      *workerSet // lazily spawned helpers; nil until a run needs them
-	s       sched      // reused scheduler scratch
-	lk      lockstep   // reused lockstep-engine scratch (see lockstep.go)
+	mu sync.Mutex
+	s  sched    // reused scheduler scratch
+	lk lockstep // reused lockstep-engine scratch (see lockstep.go)
 
 	// One-entry CSR cache. Trials in a batch overwhelmingly share one
 	// graph, so a single entry captures nearly all reuse; n and m guard
@@ -44,31 +39,13 @@ type Pool struct {
 	csr    *graph.CSR
 }
 
-// NewPool returns a Pool sized for `workers` parallel shards; workers <= 0
-// means GOMAXPROCS. Helper goroutines are spawned lazily on the first run
-// that shards, so pools for single-shard workloads stay goroutine-free.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{workers: workers}
-}
-
-// Close releases the pool's helper goroutines. The pool must not back any
-// further runs.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ws != nil {
-		p.ws.close()
-		p.ws = nil
-	}
-}
+// NewPool returns an empty Pool; its buffers warm up on first use.
+func NewPool() *Pool { return &Pool{} }
 
 type poolKey struct{}
 
 // WithPool returns a context that carries pool; any radio.Run whose
-// Config.Ctx descends from it executes on the pool's workers and buffers.
+// Config.Ctx descends from it executes on the pool's buffers.
 func WithPool(ctx context.Context, pool *Pool) context.Context {
 	return context.WithValue(ctx, poolKey{}, pool)
 }
@@ -93,22 +70,17 @@ func (p *Pool) snapshot(g *graph.Graph) (*graph.CSR, bool) {
 	return p.csr, false
 }
 
-// coordinate runs one scheduled run on the pool's workers and scratch.
-func (p *Pool) coordinate(g *graph.Graph, cfg *Config, inj *faults.Injector, maxRounds uint64, envs []*Env, wakes []uint64, res *Result) error {
+// coordinate runs one scheduled run on the pool's scratch.
+func (p *Pool) coordinate(g *graph.Graph, cfg *Config, inj *faults.Injector, maxRounds uint64, ns *nodes, wakes []uint64, res *Result) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	nShards := shardCount(cfg, g.N(), p.workers)
 	csr, cached := p.snapshot(g)
-	p.s.bind(g, csr, cfg, inj, maxRounds, envs, wakes, res, nShards)
+	p.s.bind(csr, cfg, inj, maxRounds, ns, wakes, res)
 	if cfg.Perf != nil {
 		// After bind's reset: mark the run as pool-backed. bind counted
 		// any buffer growth the pool's warm scratch could not absorb.
 		cfg.Perf.PoolHit = true
 		cfg.Perf.CSRReused = cached
 	}
-	if len(p.s.shards) > 1 && p.ws == nil {
-		p.ws = newWorkerSet(p.workers - 1)
-	}
-	p.s.ws = p.ws
 	return p.s.loop()
 }

@@ -8,10 +8,11 @@ import (
 	"radiomis/internal/graph"
 )
 
-// This file preserves the pre-rework engine — the discrete-event
-// coordinator that serviced every node through a single goroutine and a
-// per-node single-slot channel rendezvous — verbatim, as the reference
-// implementation for the sharded round scheduler (sched.go).
+// This file keeps the pre-rework engine's round loop — the discrete-event
+// coordinator that services every node from a heap of wake-ups, with
+// epoch-stamped transmitter marks and the graph's own adjacency lists — as
+// the test oracle for the round scheduler (sched.go). It runs on the same
+// node lives and Env as Run; only the round loop differs.
 //
 // It exists for two reasons:
 //
@@ -19,19 +20,16 @@ import (
 //     any fixed (graph, config, seed). The differential tests in
 //     sched_parity_test.go run both engines on the same inputs and require
 //     equal results, equal observer event streams, and equal errors.
-//   - Honest benchmarking: BenchmarkRun compares the scheduler's trial
-//     throughput against this coordinator (including its historical
-//     single-slot intent channels), so reported speedups measure the
-//     rework, not a strawman.
+//   - Drift guard: BenchmarkRun reports rounds/op for this engine next to
+//     the scheduler's, and CI requires them to agree.
 //
-// It is reachable only through runReference (exported to tests via
-// export_test.go) and must not change behavior; bug fixes that alter
-// simulation semantics belong in both engines or neither.
+// It must not change behavior; bug fixes that alter simulation semantics
+// belong in both engines or neither.
 
-// runReference simulates program exactly like Run but on the pre-rework
+// runReference simulates program exactly like Run but on the reference
 // coordinator. Results are bit-identical to Run's at equal inputs.
 func runReference(g *graph.Graph, cfg Config, program Program) (*Result, error) {
-	return run(g, cfg, program, true)
+	return run(g, cfg, program, coordinateReference)
 }
 
 // coordinateReference is the pre-rework discrete-event scheduler: it
@@ -49,13 +47,13 @@ func runReference(g *graph.Graph, cfg Config, program Program) (*Result, error) 
 // decides whether to burn budget on the round, and the reception loop
 // filters every transmitter→listener delivery through the loss and noise
 // models before the collision rule is applied.
-func coordinateReference(g *graph.Graph, cfg Config, inj *faults.Injector, maxRounds uint64, envs []*Env, wakes []uint64, res *Result) error {
+func coordinateReference(g *graph.Graph, cfg *Config, inj *faults.Injector, maxRounds uint64, ns *nodes, wakes []uint64, res *Result) error {
 	model, obs := cfg.Model, cfg.Observer
 	var done <-chan struct{}
 	if cfg.Ctx != nil {
 		done = cfg.Ctx.Done()
 	}
-	n := len(envs)
+	n := len(ns.envs)
 	h := make(eventHeap, 0, n)
 	for i := 0; i < n; i++ {
 		h.push(event{round: wakes[i], id: i})
@@ -108,22 +106,13 @@ func coordinateReference(g *graph.Graph, cfg Config, inj *faults.Injector, maxRo
 		}
 
 		for _, id := range due {
-			env := envs[id]
-			it := <-env.intentCh
+			it := <-ns.envs[id].intentCh
 			// Crash faults strike awake actions: the node dies before the
 			// action takes effect (no transmission, no listen, no energy
-			// charged). The signal rendezvous guarantees the old life is
-			// unwinding before the round proceeds.
+			// charged).
 			if inj != nil && (it.kind == intentTransmit || it.kind == intentListen) && inj.CrashesNow(id) {
-				delay, restart := inj.Restart(id)
-				env.crashCh <- crashSignal{restart: restart, resumeRound: r + delay}
-				if restart {
-					// Rendezvous with the supervisor: wait until the old
-					// life is fully unwound and drained. Without this the
-					// coordinator could reach round r+delay and consume a
-					// stale intent the dying life buffered on its way down.
-					<-env.crashCh
-					h.push(event{round: r + delay, id: id})
+				if resume, ok := ns.crash(id, r, inj); ok {
+					h.push(event{round: resume, id: id})
 				} else {
 					res.Crashed[id] = true
 					active--
@@ -225,7 +214,7 @@ func coordinateReference(g *graph.Graph, cfg Config, inj *faults.Injector, maxRo
 					stats.Collisions++
 				}
 			}
-			envs[id].replyCh <- reception
+			ns.envs[id].replyCh <- reception
 		}
 
 		if nTx > 0 || len(listeners) > 0 || crashes > 0 {

@@ -3,82 +3,52 @@ package radio
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"radiomis/internal/faults"
 	"radiomis/internal/graph"
 )
 
-// This file implements the engine's round scheduler: a phase-barrier design
-// where a fixed pool of worker shards advances all awake nodes one round at
-// a time. It replaces the pre-rework coordinator (reference.go), which
-// serviced every node sequentially from a single goroutine, with three
-// cooperating ideas:
+// This file implements the engine's round scheduler: one goroutine advances
+// all awake nodes one round at a time, consuming each due node's intent in
+// ascending id order and replying to the round's listeners. Two ideas keep
+// it cheap:
 //
-//   - Sharding. Nodes are partitioned into contiguous, 64-aligned id
-//     ranges. Each round runs as two barrier-separated phases — collect
-//     (consume due intents, mark transmissions, schedule next events) and
-//     receive (aggregate receptions, reply to listeners) — executed by one
-//     worker per shard. Worker 0 is the coordinating goroutine itself, so
-//     single-shard runs have no barrier or hand-off cost at all.
 //   - CSR + bitset aggregation. Adjacency is snapshot once per run into a
 //     compressed-sparse-row array (graph.CSR) and the round's transmitters
 //     into a bitset, so the reception sweep is a dense scan over two
 //     cache-resident arrays instead of pointer-chasing per-node slices.
-//     Because shard boundaries are 64-aligned, every bitset word belongs to
-//     exactly one shard and phases need no atomics.
-//   - Pooled round buffers. Due lists, next-round buckets, transmitter and
-//     listener sets, observer scratch, and the bitset are all reused across
-//     rounds (and, via Pool, across runs), so the steady-state scheduler
-//     allocates nothing per round — the nil-observer zero-alloc guarantee
-//     of the pre-rework engine is preserved.
+//   - Pooled round buffers. Due lists, the next-round bucket, the event
+//     heap, transmitter and listener sets, observer scratch, and the bitset
+//     are all reused across rounds (and, via Pool, across runs), so the
+//     steady-state scheduler allocates nothing per round.
 //
 // Event scheduling exploits that almost every event lands on the next
 // round: an awake action at round r schedules the node at r+1, which goes
-// into a per-shard append-only bucket, already in ascending id order. Only
-// sleeps and crash-restarts (round > r+1) touch the per-shard binary heap.
+// into an append-only bucket, already in ascending id order. Only sleeps
+// and crash-restarts (round > r+1) touch the binary heap.
 //
 // Determinism contract: the scheduler produces bit-identical Results (and
-// observer event streams, and errors) to the reference engine at any fixed
-// (graph, config, seed), for every shard count. Cross-shard merges happen
-// in shard order, which is id order because shards are contiguous ranges;
-// and fault injection — whose random draws are order-sensitive — runs on
-// the sequential path below (faultRound), preserving the reference draw
-// order exactly. The differential tests in sched_parity_test.go enforce
-// this contract.
+// observer event streams, and errors) to the reference engine kept in the
+// tests at any fixed (graph, config, seed). Fault injection's random draws
+// are order-sensitive; they happen inline in ascending id order — crash
+// hazards as intents are consumed, then the jam decision, then per-delivery
+// losses and per-listener noise — which is exactly the reference order.
+// The differential tests in sched_parity_test.go enforce this contract.
 
-const (
-	// shardAlign is the alignment of shard boundaries. Keeping boundaries
-	// on multiples of 64 makes every word of the transmitter bitset
-	// exclusive to one shard, so phase-1 writes need no synchronization.
-	shardAlign = 64
-	// minShardNodes is the smallest node range worth a dedicated worker;
-	// below it, barrier overhead dominates any parallelism win.
-	minShardNodes = 512
-)
-
-// haltEv records one node halt within a round, for deferred observer
-// delivery after the collect barrier.
-type haltEv struct {
-	id     int32
-	output int64
-}
-
-// schedErr records the first per-round node error a shard encountered
-// (non-unary payload or unknown intent kind), merged across shards by id.
-type schedErr struct {
-	id      int32 // -1 when no error
-	kind    intentKind
-	payload uint64
-}
-
-// shard is one contiguous node range of the round scheduler together with
-// all its per-round scratch. A shard is touched by exactly one worker
-// during a phase; the coordinator reads it only between barriers.
-type shard struct {
-	lo, hi int // node id range [lo, hi)
+// sched is one run's scheduler state. It is reusable: Pool keeps one and
+// rebinds it to consecutive runs so all buffers stay warm.
+type sched struct {
+	csr       *graph.CSR
+	model     Model
+	unaryOnly bool
+	obs       Observer
+	inj       *faults.Injector
+	nodes     *nodes
+	res       *Result
+	maxRounds uint64
+	done      <-chan struct{}
+	ctx       context.Context
 
 	// Round scheduling: cur is the due set of the current round, next the
 	// bucket of events for the immediately following round (both ascending
@@ -88,39 +58,8 @@ type shard struct {
 	next []int32
 	heap eventHeap
 
-	// intents holds the round's collected intents, parallel to cur. The
-	// fast path applies intents as it collects; the fault path collects
-	// first and lets the coordinator apply sequentially.
-	intents []intent
-
-	// Per-round outcome buffers, reused across rounds.
 	txIDs     []int32 // transmitters (ascending); also the bitset clear list
 	listeners []int32 // listeners (ascending)
-	halts     []haltEv
-	err       schedErr
-
-	// Observer scratch (untouched when no observer is attached).
-	tx                              []NodeTx
-	rx                              []NodeRx
-	successes, collisions, silences int
-}
-
-// sched is one run's scheduler state. It is reusable: Pool keeps one and
-// rebinds it to consecutive runs so all buffers stay warm.
-type sched struct {
-	g         *graph.Graph
-	csr       *graph.CSR
-	model     Model
-	unaryOnly bool
-	obs       Observer
-	inj       *faults.Injector
-	envs      []*Env
-	res       *Result
-	maxRounds uint64
-	done      <-chan struct{}
-	ctx       context.Context
-
-	shards    []shard
 	txBits    []uint64
 	txPayload []uint64
 
@@ -129,158 +68,31 @@ type sched struct {
 
 	stats RoundStats // observer-only, buffers reused across rounds
 
-	// Perf telemetry (nil/unused unless Config.Perf is set — see perf.go).
-	// phaseNs holds one dispatch's per-shard phase durations; each worker
-	// writes only its own slot during the phase, the coordinator reads
-	// after the barrier.
-	perf    *RunPerf
-	phaseNs []int64
-
-	ws *workerSet // nil means all phases run inline on the coordinator
+	perf *RunPerf // nil unless Config.Perf is set — see perf.go
 }
 
-// phaseKind selects the work a worker performs on its shard.
-type phaseKind int
-
-const (
-	// phaseFast: begin the round, collect due intents, and apply them
-	// (clean runs only — application is order-insensitive across shards).
-	phaseFast phaseKind = iota + 1
-	// phaseCollect: begin the round and collect due intents without
-	// applying them (fault runs — the coordinator applies sequentially to
-	// preserve the injector's draw order).
-	phaseCollect
-	// phaseReceive: aggregate receptions for the shard's listeners and
-	// reply (clean runs only).
-	phaseReceive
-)
-
-// workerSet is the fixed helper-goroutine pool behind multi-shard runs.
-// Worker 0 is always the coordinating goroutine; a workerSet adds helpers
-// for shards 1..n. It is reused across runs when owned by a Pool.
-type workerSet struct {
-	start []chan struct{}
-	wg    sync.WaitGroup
-	s     *sched
-	ph    phaseKind
-}
-
-// newWorkerSet spawns helpers persistent helper goroutines.
-func newWorkerSet(helpers int) *workerSet {
-	ws := &workerSet{start: make([]chan struct{}, helpers)}
-	for i := range ws.start {
-		ws.start[i] = make(chan struct{})
-		go func(i int) {
-			for range ws.start[i] {
-				ws.s.runPhase(ws.ph, i+1)
-				ws.wg.Done()
-			}
-		}(i)
-	}
-	return ws
-}
-
-// close terminates the helper goroutines.
-func (ws *workerSet) close() {
-	for _, c := range ws.start {
-		close(c)
-	}
-}
-
-// dispatch runs one phase across the first `shards` shards: helpers take
-// shards 1.., the caller's goroutine takes shard 0, and dispatch returns
-// once every engaged shard finished (the phase barrier).
-func (s *sched) dispatch(ph phaseKind) {
-	k := len(s.shards)
-	if k == 1 || s.ws == nil {
-		for i := 0; i < k; i++ {
-			s.runPhase(ph, i)
-		}
-	} else {
-		ws := s.ws
-		ws.s, ws.ph = s, ph
-		ws.wg.Add(k - 1)
-		for i := 0; i < k-1; i++ {
-			ws.start[i] <- struct{}{}
-		}
-		s.runPhase(ph, 0)
-		ws.wg.Wait()
-	}
-	if s.perf != nil {
-		s.perfFold()
-	}
-}
-
-func (s *sched) runPhase(ph phaseKind, i int) {
-	var start time.Time
-	if s.perf != nil {
-		start = time.Now()
-	}
-	sh := &s.shards[i]
-	switch ph {
-	case phaseFast:
-		sh.beginRound(s.round, s.txBits)
-		s.collectApply(sh)
-	case phaseCollect:
-		sh.beginRound(s.round, s.txBits)
-		s.collect(sh)
-	case phaseReceive:
-		s.receive(sh)
-	}
-	if s.perf != nil {
-		s.phaseNs[i] = time.Since(start).Nanoseconds()
-	}
-}
-
-// shardCount picks the number of shards for a run of n nodes: enough to
-// use the available parallelism, never so many that shards fall below
-// minShardNodes, and at most what an installed Pool provides.
-func shardCount(cfg *Config, n, poolMax int) int {
-	w := cfg.Shards
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if useful := (n + minShardNodes - 1) / minShardNodes; w > useful {
-			w = useful
-		}
-	}
-	if poolMax > 0 && w > poolMax {
-		w = poolMax
-	}
-	if hard := (n + shardAlign - 1) / shardAlign; w > hard {
-		w = hard
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// coordinate drives one run on the sharded scheduler. It resolves a Pool
-// installed on cfg.Ctx (reusing its workers, buffers, and CSR snapshot) or
-// builds ephemeral state for a standalone run.
-func coordinate(g *graph.Graph, cfg Config, inj *faults.Injector, maxRounds uint64, envs []*Env, wakes []uint64, res *Result) error {
+// coordinate drives one run on the scheduler. It resolves a Pool installed
+// on cfg.Ctx (reusing its buffers and CSR snapshot) or builds ephemeral
+// state for a standalone run.
+func coordinate(g *graph.Graph, cfg *Config, inj *faults.Injector, maxRounds uint64, ns *nodes, wakes []uint64, res *Result) error {
 	if pool := poolFrom(cfg.Ctx); pool != nil {
-		return pool.coordinate(g, &cfg, inj, maxRounds, envs, wakes, res)
+		return pool.coordinate(g, cfg, inj, maxRounds, ns, wakes, res)
 	}
 	s := &sched{}
-	s.bind(g, graph.BuildCSR(g), &cfg, inj, maxRounds, envs, wakes, res, shardCount(&cfg, g.N(), 0))
-	if len(s.shards) > 1 {
-		s.ws = newWorkerSet(len(s.shards) - 1)
-		defer s.ws.close()
-	}
+	s.bind(graph.BuildCSR(g), cfg, inj, maxRounds, ns, wakes, res)
 	return s.loop()
 }
 
 // bind (re)points a scheduler at one run, resizing and resetting all
 // scratch. It is the only place per-run state is initialized, so a Pool's
 // reused sched cannot leak state between runs.
-func (s *sched) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, inj *faults.Injector, maxRounds uint64, envs []*Env, wakes []uint64, res *Result, nShards int) {
-	n := len(envs)
-	s.g, s.csr = g, csr
+func (s *sched) bind(csr *graph.CSR, cfg *Config, inj *faults.Injector, maxRounds uint64, ns *nodes, wakes []uint64, res *Result) {
+	n := len(ns.envs)
+	s.csr = csr
 	s.model, s.unaryOnly = cfg.Model, cfg.UnaryOnly
 	s.obs = cfg.Observer
 	s.inj = inj
-	s.envs, s.res = envs, res
+	s.nodes, s.res = ns, res
 	s.maxRounds = maxRounds
 	s.ctx = cfg.Ctx
 	s.done = nil
@@ -290,38 +102,19 @@ func (s *sched) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, inj *faults.In
 	s.active = n
 	s.round = 0
 
-	// Shard the id space into 64-aligned contiguous ranges.
-	size := (n + nShards - 1) / nShards
-	size = (size + shardAlign - 1) / shardAlign * shardAlign
-	nShards = (n + size - 1) / size
 	// Perf telemetry is bound before the scratch below so reallocation
 	// events are counted; cfg.Perf == nil keeps every site a no-op.
 	s.perf = cfg.Perf
 	if s.perf != nil {
-		s.perf.reset(nShards)
-		if cap(s.phaseNs) < nShards {
-			s.phaseNs = make([]int64, nShards)
-		}
-		s.phaseNs = s.phaseNs[:nShards]
+		s.perf.reset()
 	}
-	if cap(s.shards) < nShards {
-		s.shards = make([]shard, nShards)
-		s.perfGrow()
-	}
-	s.shards = s.shards[:nShards]
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.lo = i * size
-		sh.hi = min(n, (i+1)*size)
-		sh.cur = sh.cur[:0]
-		sh.next = sh.next[:0]
-		sh.heap = sh.heap[:0]
-		sh.txIDs = sh.txIDs[:0]
-		sh.listeners = sh.listeners[:0]
-		sh.halts = sh.halts[:0]
-		for id := sh.lo; id < sh.hi; id++ {
-			sh.heap.push(event{round: wakes[id], id: id})
-		}
+	s.cur = s.cur[:0]
+	s.next = s.next[:0]
+	s.heap = s.heap[:0]
+	s.txIDs = s.txIDs[:0]
+	s.listeners = s.listeners[:0]
+	for id := 0; id < n; id++ {
+		s.heap.push(event{round: wakes[id], id: id})
 	}
 
 	words := (n + 63) / 64
@@ -339,8 +132,8 @@ func (s *sched) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, inj *faults.In
 }
 
 // loop is the scheduler's round loop: find the next round with a scheduled
-// event, run it through the fast or fault path, and stop when every node
-// has halted (or terminally crashed).
+// event, run it, and stop when every node has halted (or terminally
+// crashed).
 func (s *sched) loop() error {
 	if s.perf != nil {
 		start := time.Now()
@@ -361,19 +154,10 @@ func (s *sched) loop() error {
 			return fmt.Errorf("%w (cap %d)", ErrMaxRounds, s.maxRounds)
 		}
 		s.round = r
-		var err error
-		if s.inj == nil {
-			if s.perf != nil {
-				s.perf.FastRounds++
-			}
-			err = s.fastRound(r)
-		} else {
-			if s.perf != nil {
-				s.perf.FaultRounds++
-			}
-			err = s.faultRound(r)
+		if s.perf != nil {
+			s.perf.Rounds++
 		}
-		if err != nil {
+		if err := s.step(r); err != nil {
 			return err
 		}
 		if s.perf != nil && s.perf.sliceStride != 0 {
@@ -383,238 +167,61 @@ func (s *sched) loop() error {
 	return nil
 }
 
-// nextRound returns the earliest round any shard has an event for. Every
-// active node has exactly one scheduled event, so the minimum exists
-// whenever the loop runs.
+// nextRound returns the earliest round with a scheduled event. Every
+// active node has exactly one, so the minimum exists whenever the loop
+// runs; the bucket always holds the immediately next round, which no heap
+// entry can beat.
 func (s *sched) nextRound() uint64 {
-	r := ^uint64(0)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if len(sh.next) > 0 {
-			// The bucket always holds the immediately next round, which no
-			// heap entry anywhere can beat.
-			return s.round + 1
-		}
-		if len(sh.heap) > 0 && sh.heap.peekRound() < r {
-			r = sh.heap.peekRound()
-		}
+	if len(s.next) > 0 {
+		return s.round + 1
 	}
-	return r
+	return s.heap.peekRound()
 }
 
-// beginRound resets the shard's per-round buffers, clears its transmitter
-// bits from the previous round, and materializes the due set for round r by
-// merging the next-round bucket with any heap events that landed on r. Both
-// sources are ascending by id, so cur comes out ascending.
-func (sh *shard) beginRound(r uint64, txBits []uint64) {
-	for _, id := range sh.txIDs {
-		txBits[id>>6] &^= 1 << (id & 63)
+// beginRound clears the previous round's transmitter bits and materializes
+// the due set for round r by merging the next-round bucket with any heap
+// events that landed on r. Both sources are ascending by id, so cur comes
+// out ascending.
+func (s *sched) beginRound(r uint64) {
+	for _, id := range s.txIDs {
+		s.txBits[id>>6] &^= 1 << (id & 63)
 	}
-	sh.txIDs = sh.txIDs[:0]
-	sh.listeners = sh.listeners[:0]
-	sh.halts = sh.halts[:0]
-	sh.err = schedErr{id: -1}
+	s.txIDs = s.txIDs[:0]
+	s.listeners = s.listeners[:0]
 
-	sh.cur = sh.cur[:0]
+	s.cur = s.cur[:0]
 	ni := 0
-	for len(sh.heap) > 0 && sh.heap.peekRound() == r {
-		id := int32(sh.heap.pop().id)
-		for ni < len(sh.next) && sh.next[ni] < id {
-			sh.cur = append(sh.cur, sh.next[ni])
+	for len(s.heap) > 0 && s.heap.peekRound() == r {
+		id := int32(s.heap.pop().id)
+		for ni < len(s.next) && s.next[ni] < id {
+			s.cur = append(s.cur, s.next[ni])
 			ni++
 		}
-		sh.cur = append(sh.cur, id)
+		s.cur = append(s.cur, id)
 	}
-	sh.cur = append(sh.cur, sh.next[ni:]...)
-	sh.next = sh.next[:0]
+	s.cur = append(s.cur, s.next[ni:]...)
+	s.next = s.next[:0]
 }
 
 // push schedules node id's next event: the common r+1 case goes to the
 // append-only bucket (order-preserving, no heap churn), anything farther to
 // the heap.
-func (sh *shard) push(round, cur uint64, id int32) {
+func (s *sched) push(round, cur uint64, id int32) {
 	if round == cur+1 {
-		sh.next = append(sh.next, id)
+		s.next = append(s.next, id)
 		return
 	}
-	sh.heap.push(event{round: round, id: int(id)})
+	s.heap.push(event{round: round, id: int(id)})
 }
 
-// collectApply is the clean-path phase 1: consume each due node's intent
-// and apply it — transmitter bits and payloads, energy accounting, next
-// event scheduling, listener and halt sets, observer scratch. All writes
-// land in shard-owned state or per-node result slots, so shards never
-// contend.
-func (s *sched) collectApply(sh *shard) {
-	obs := s.obs != nil
-	r := s.round
-	if obs {
-		sh.tx = sh.tx[:0]
-		sh.rx = sh.rx[:0]
-	}
-	for _, id := range sh.cur {
-		it := <-s.envs[id].intentCh
-		switch it.kind {
-		case intentTransmit:
-			if s.unaryOnly && it.payload != 1 && sh.err.id < 0 {
-				sh.err = schedErr{id: id, kind: intentTransmit, payload: it.payload}
-			}
-			s.txBits[id>>6] |= 1 << (id & 63)
-			s.txPayload[id] = it.payload
-			sh.txIDs = append(sh.txIDs, id)
-			s.res.Energy[id]++
-			if obs {
-				sh.tx = append(sh.tx, NodeTx{ID: int(id), Phase: it.phase, Payload: it.payload})
-			}
-			sh.push(r+1, r, id)
-		case intentListen:
-			sh.listeners = append(sh.listeners, id)
-			s.res.Energy[id]++
-			if obs {
-				sh.rx = append(sh.rx, NodeRx{ID: int(id), Phase: it.phase})
-			}
-			sh.push(r+1, r, id)
-		case intentSleep:
-			sh.push(r+it.sleep, r, id)
-		case intentHalt:
-			s.res.Outputs[id] = it.result
-			sh.halts = append(sh.halts, haltEv{id: id, output: it.result})
-		default:
-			if sh.err.id < 0 {
-				sh.err = schedErr{id: id, kind: it.kind}
-			}
-		}
-	}
-}
-
-// collect is the fault-path phase 1: consume due intents into the shard's
-// intent buffer without applying them, so the coordinator can interleave
-// the injector's order-sensitive draws exactly like the reference engine.
-func (s *sched) collect(sh *shard) {
-	if cap(sh.intents) < len(sh.cur) {
-		sh.intents = make([]intent, len(sh.cur))
-	}
-	sh.intents = sh.intents[:len(sh.cur)]
-	for k, id := range sh.cur {
-		sh.intents[k] = <-s.envs[id].intentCh
-	}
-}
-
-// receive is the clean-path phase 2: for each of the shard's listeners,
-// count transmitting neighbors by scanning its CSR row against the
-// transmitter bitset, classify the reception under the model, and reply.
-func (s *sched) receive(sh *shard) {
-	obs := s.obs != nil
-	for k, id := range sh.listeners {
-		physical := 0
-		var payload uint64
-		for _, w := range s.csr.Neighbors(int(id)) {
-			if s.txBits[w>>6]>>(uint(w)&63)&1 != 0 {
-				physical++
-				payload = s.txPayload[w]
-			}
-		}
-		reception := perceive(s.model, physical, payload)
-		if obs {
-			rx := &sh.rx[k]
-			rx.TxNeighbors = physical
-			rx.Delivered = physical
-			rx.Outcome = reception.Kind
-			switch {
-			case physical == 0:
-				sh.silences++
-			case physical == 1:
-				sh.successes++
-			default:
-				sh.collisions++
-			}
-		}
-		s.envs[id].replyCh <- reception
-	}
-}
-
-// fastRound runs one clean (fault-free) round: a parallel collect+apply
-// phase, a merge on the coordinator, and a parallel receive phase.
-func (s *sched) fastRound(r uint64) error {
-	s.dispatch(phaseFast)
-
-	// Merge shard outcomes in shard order — id order, since shards are
-	// contiguous ranges.
-	nTx, nListen := 0, 0
-	bad := schedErr{id: -1}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		nTx += len(sh.txIDs)
-		nListen += len(sh.listeners)
-		if sh.err.id >= 0 && bad.id < 0 {
-			bad = sh.err
-		}
-	}
-	// Node errors abort the run exactly like the reference engine: halts
-	// of lower-id nodes are still observed, everything from the erroring
-	// node on is not.
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for _, h := range sh.halts {
-			if bad.id >= 0 && h.id >= bad.id {
-				break
-			}
-			s.active--
-			s.res.HaltRound[h.id] = r
-			if s.obs != nil {
-				s.obs.ObserveHalt(int(h.id), h.output, s.res.Energy[h.id], r)
-			}
-		}
-	}
-	if bad.id >= 0 {
-		if bad.kind == intentTransmit {
-			return fmt.Errorf("%w: node %d sent %#x", ErrNotUnary, bad.id, bad.payload)
-		}
-		return fmt.Errorf("radio: node %d submitted unknown intent %d", bad.id, bad.kind)
-	}
-
-	if nTx == 0 && nListen == 0 {
-		return nil // only sleeps and halts: time passes, nothing happened
-	}
-	s.dispatch(phaseReceive)
-	s.res.Rounds = r + 1
-	if s.obs != nil {
-		s.mergeStats(r)
-		s.obs.ObserveRound(&s.stats)
-	}
-	return nil
-}
-
-// mergeStats assembles the round's RoundStats from the shards' scratch, in
-// shard (= id) order, reusing the scheduler's buffers.
-func (s *sched) mergeStats(r uint64) {
-	s.stats = RoundStats{
-		Round:        r,
-		Transmitters: s.stats.Transmitters[:0],
-		Listeners:    s.stats.Listeners[:0],
-		Crashed:      s.stats.Crashed[:0],
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.stats.Transmitters = append(s.stats.Transmitters, sh.tx...)
-		s.stats.Listeners = append(s.stats.Listeners, sh.rx...)
-		s.stats.Successes += sh.successes
-		s.stats.Collisions += sh.collisions
-		s.stats.Silences += sh.silences
-		sh.successes, sh.collisions, sh.silences = 0, 0, 0
-	}
-}
-
-// faultRound runs one round with a fault injector attached. Intents are
-// still collected in parallel (no random draws there), but application and
-// reception run sequentially on the coordinator in ascending id order, so
-// every injector draw — crash hazards per awake action, the jam decision,
-// per-delivery losses, per-listener noise — happens in exactly the
-// reference engine's order and fault runs stay bit-identical too.
-func (s *sched) faultRound(r uint64) error {
-	s.dispatch(phaseCollect)
-
-	obs, inj, res := s.obs, s.inj, s.res
+// step runs round r. It consumes every due node's intent in ascending id
+// order — drawing crash hazards as it goes, when a fault injector is
+// attached — then lets the jammer decide, then delivers receptions in
+// ascending listener order. A node error aborts the run after the halts
+// of lower-id nodes were observed, exactly like the reference engine.
+func (s *sched) step(r uint64) error {
+	s.beginRound(r)
+	obs, inj, res, envs := s.obs, s.inj, s.res, s.nodes.envs
 	if obs != nil {
 		s.stats = RoundStats{
 			Round:        r,
@@ -623,69 +230,56 @@ func (s *sched) faultRound(r uint64) error {
 			Crashed:      s.stats.Crashed[:0],
 		}
 	}
-	nTx, crashes := 0, 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for k, id := range sh.cur {
-			it := sh.intents[k]
-			env := s.envs[id]
-			// Crash faults strike awake actions: the node dies before the
-			// action takes effect (no transmission, no listen, no energy
-			// charged). The signal rendezvous guarantees the old life is
-			// unwinding before the round proceeds.
-			if (it.kind == intentTransmit || it.kind == intentListen) && inj.CrashesNow(int(id)) {
-				delay, restart := inj.Restart(int(id))
-				env.crashCh <- crashSignal{restart: restart, resumeRound: r + delay}
-				if restart {
-					// Rendezvous with the supervisor: wait until the old
-					// life is fully unwound and drained, so the scheduler
-					// cannot reach round r+delay and consume a stale intent
-					// the dying life buffered on its way down.
-					<-env.crashCh
-					sh.push(r+delay, r, id)
-				} else {
-					res.Crashed[id] = true
-					s.active--
-				}
-				crashes++
-				if obs != nil {
-					s.stats.Crashed = append(s.stats.Crashed, int(id))
-				}
-				continue
-			}
-			switch it.kind {
-			case intentTransmit:
-				if s.unaryOnly && it.payload != 1 {
-					return fmt.Errorf("%w: node %d sent %#x", ErrNotUnary, id, it.payload)
-				}
-				s.txBits[id>>6] |= 1 << (id & 63)
-				s.txPayload[id] = it.payload
-				sh.txIDs = append(sh.txIDs, id)
-				nTx++
-				res.Energy[id]++
-				if obs != nil {
-					s.stats.Transmitters = append(s.stats.Transmitters, NodeTx{ID: int(id), Phase: it.phase, Payload: it.payload})
-				}
-				sh.push(r+1, r, id)
-			case intentListen:
-				sh.listeners = append(sh.listeners, id)
-				res.Energy[id]++
-				if obs != nil {
-					s.stats.Listeners = append(s.stats.Listeners, NodeRx{ID: int(id), Phase: it.phase})
-				}
-				sh.push(r+1, r, id)
-			case intentSleep:
-				sh.push(r+it.sleep, r, id)
-			case intentHalt:
-				res.Outputs[id] = it.result
-				res.HaltRound[id] = r
+	crashes := 0
+	for _, id := range s.cur {
+		it := <-envs[id].intentCh
+		// Crash faults strike awake actions: the node dies before the
+		// action takes effect (no transmission, no listen, no energy
+		// charged).
+		if inj != nil && (it.kind == intentTransmit || it.kind == intentListen) && inj.CrashesNow(int(id)) {
+			if resume, ok := s.nodes.crash(int(id), r, inj); ok {
+				s.push(resume, r, id)
+			} else {
+				res.Crashed[id] = true
 				s.active--
-				if obs != nil {
-					obs.ObserveHalt(int(id), it.result, res.Energy[id], r)
-				}
-			default:
-				return fmt.Errorf("radio: node %d submitted unknown intent %d", id, it.kind)
 			}
+			crashes++
+			if obs != nil {
+				s.stats.Crashed = append(s.stats.Crashed, int(id))
+			}
+			continue
+		}
+		switch it.kind {
+		case intentTransmit:
+			if s.unaryOnly && it.payload != 1 {
+				return fmt.Errorf("%w: node %d sent %#x", ErrNotUnary, id, it.payload)
+			}
+			s.txBits[id>>6] |= 1 << (id & 63)
+			s.txPayload[id] = it.payload
+			s.txIDs = append(s.txIDs, id)
+			res.Energy[id]++
+			if obs != nil {
+				s.stats.Transmitters = append(s.stats.Transmitters, NodeTx{ID: int(id), Phase: it.phase, Payload: it.payload})
+			}
+			s.push(r+1, r, id)
+		case intentListen:
+			s.listeners = append(s.listeners, id)
+			res.Energy[id]++
+			if obs != nil {
+				s.stats.Listeners = append(s.stats.Listeners, NodeRx{ID: int(id), Phase: it.phase})
+			}
+			s.push(r+1, r, id)
+		case intentSleep:
+			s.push(r+it.sleep, r, id)
+		case intentHalt:
+			res.Outputs[id] = it.result
+			res.HaltRound[id] = r
+			s.active--
+			if obs != nil {
+				obs.ObserveHalt(int(id), it.result, res.Energy[id], r)
+			}
+		default:
+			return fmt.Errorf("radio: node %d submitted unknown intent %d", id, it.kind)
 		}
 	}
 
@@ -693,25 +287,31 @@ func (s *sched) faultRound(r uint64) error {
 	// transmitter count) and greedily decides whether to spend budget; a
 	// jammed round adds collision-level interference at every listener.
 	jammed := false
-	if nTx > 0 {
-		jammed = inj.JamRound(nTx)
+	if inj != nil && len(s.txIDs) > 0 {
+		jammed = inj.JamRound(len(s.txIDs))
 		if obs != nil {
 			s.stats.Jammed = jammed
 		}
 	}
 
-	// Deliver receptions in ascending listener order: each
-	// transmitter→listener delivery passes the loss filter, and
-	// noise/jamming add phantom transmitters that the collision rule
-	// perceives but no node sent.
-	nListen, li := 0, 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		nListen += len(sh.listeners)
-		for _, id := range sh.listeners {
-			physical := 0  // transmitting neighbors (ground truth)
-			delivered := 0 // deliveries surviving the loss model
-			var payload uint64
+	// Deliver receptions: count each listener's transmitting neighbors by
+	// scanning its CSR row against the transmitter bitset. With faults
+	// attached, each transmitter→listener delivery first passes the loss
+	// filter, and noise/jamming add phantom transmitters that the
+	// collision rule perceives but no node sent.
+	for li, id := range s.listeners {
+		physical := 0  // transmitting neighbors (ground truth)
+		delivered := 0 // deliveries surviving the loss model
+		var payload uint64
+		if inj == nil {
+			for _, w := range s.csr.Neighbors(int(id)) {
+				if s.txBits[w>>6]>>(uint(w)&63)&1 != 0 {
+					physical++
+					payload = s.txPayload[w]
+				}
+			}
+			delivered = physical
+		} else {
 			for _, w := range s.csr.Neighbors(int(id)) {
 				if s.txBits[w>>6]>>(uint(w)&63)&1 == 0 {
 					continue
@@ -723,38 +323,37 @@ func (s *sched) faultRound(r uint64) error {
 				delivered++
 				payload = s.txPayload[w]
 			}
-			effective := delivered
-			if jammed {
-				effective += 2
-			}
-			if inj.NoiseAt() {
-				effective += 2
-				if obs != nil {
-					s.stats.Noised++
-				}
-			}
-			reception := perceive(s.model, effective, payload)
-			if obs != nil {
-				rx := &s.stats.Listeners[li]
-				rx.TxNeighbors = physical
-				rx.Delivered = delivered
-				rx.Outcome = reception.Kind
-				s.stats.Lost += physical - delivered
-				switch {
-				case effective == 0:
-					s.stats.Silences++
-				case effective == 1:
-					s.stats.Successes++
-				default:
-					s.stats.Collisions++
-				}
-			}
-			li++
-			s.envs[id].replyCh <- reception
 		}
+		effective := delivered
+		if jammed {
+			effective += 2
+		}
+		if inj != nil && inj.NoiseAt() {
+			effective += 2
+			if obs != nil {
+				s.stats.Noised++
+			}
+		}
+		reception := perceive(s.model, effective, payload)
+		if obs != nil {
+			rx := &s.stats.Listeners[li]
+			rx.TxNeighbors = physical
+			rx.Delivered = delivered
+			rx.Outcome = reception.Kind
+			s.stats.Lost += physical - delivered
+			switch {
+			case effective == 0:
+				s.stats.Silences++
+			case effective == 1:
+				s.stats.Successes++
+			default:
+				s.stats.Collisions++
+			}
+		}
+		envs[id].replyCh <- reception
 	}
 
-	if nTx > 0 || nListen > 0 || crashes > 0 {
+	if len(s.txIDs) > 0 || len(s.listeners) > 0 || crashes > 0 {
 		res.Rounds = r + 1
 		if obs != nil {
 			obs.ObserveRound(&s.stats)

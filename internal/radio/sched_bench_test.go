@@ -35,26 +35,27 @@ func benchProgram(env *Env) int64 {
 }
 
 // BenchmarkRun measures end-to-end trial throughput — complete Run calls
-// per second — on the ISSUE 4 acceptance workload G(n=4096, p=8/n) and a
-// smaller control, comparing three configurations:
+// per second — on G(n, p=8/n) at two sizes, comparing four
+// configurations:
 //
-//	reference  the preserved pre-rework engine (single-slot channel
-//	           rendezvous, heap-only scheduling)
-//	sched      the sharded round scheduler, standalone (per-run CSR
-//	           snapshot and scratch)
+//	reference  the reference engine (reference_test.go): the heap-only
+//	           round loop over the same node lives and channels as Run
+//	sched      the round scheduler, standalone (per-run CSR snapshot and
+//	           scratch)
 //	pooled     the scheduler behind a Pool, as harness batches run it
-//	           (workers, buffers, and CSR snapshot amortized across trials)
+//	           (buffers and CSR snapshot amortized across trials)
 //	perf       the pooled configuration with RunPerf telemetry attached —
-//	           its gap to "pooled" is the telemetry overhead the ISSUE 5
-//	           acceptance bounds (≤ 3% time/op, no per-round allocations)
+//	           its gap to "pooled" is the telemetry overhead (no per-round
+//	           allocations)
 //
 // All four produce bit-identical Results (sched_parity_test.go,
-// perf_parity tests), so the ratios are pure engine speed. The
-// deterministic rounds/op metric doubles as a drift guard: CI runs this
-// benchmark at -benchtime=1x and any change in rounds/op means simulation
-// behavior changed, not just timing; CI also compares the sched/pooled vs
-// perf allocs/op (scripts/benchallocs.py) so telemetry can never quietly
-// start allocating.
+// perf_test.go). The reference shares Run's channel discipline, so its
+// time/op measures only the cost of its round loop, not a historical
+// synchronization cost. The deterministic rounds/op metric is the drift
+// guard: CI runs this benchmark and any disagreement in rounds/op between
+// the configurations means simulation behavior changed, not just timing;
+// CI also compares the pooled vs perf allocs/op (scripts/benchallocs.py)
+// so telemetry can never quietly start allocating.
 func BenchmarkRun(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		g := graph.GNP(n, 8.0/float64(n), rand.New(rand.NewSource(4096)))
@@ -62,8 +63,7 @@ func BenchmarkRun(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/gnp/n=%d", engine, n), func(b *testing.B) {
 				ctx := context.Background()
 				if engine == "pooled" || engine == "perf" {
-					pool := NewPool(0)
-					defer pool.Close()
+					pool := NewPool()
 					ctx = WithPool(ctx, pool)
 				}
 				var perf *RunPerf

@@ -12,14 +12,12 @@ import (
 	"radiomis/internal/graph"
 )
 
-// This file holds the sharded scheduler's golden parity tests: every
-// (graph, config, program) here runs on both the new scheduler (sched.go,
-// at several shard counts, with and without a Pool) and the preserved
-// pre-rework engine (reference.go), and the two must agree bit-for-bit —
-// same Result, same observer event stream, same error. This is the
-// enforcement mechanism behind Config.Shards' documentation that results
-// are independent of the shard count, and behind the engine rework's
-// contract that it changes throughput only.
+// This file holds the scheduler's golden parity tests: every (graph,
+// config, program) here runs on both the scheduler (sched.go, with and
+// without a Pool) and the reference engine (reference_test.go), and the
+// two must agree bit-for-bit — same Result, same observer event stream,
+// same error. This is the enforcement mechanism behind the engine's
+// contract that its round loop changes throughput only.
 
 // parityEvent is one deep-copied observer callback, in delivery order.
 type parityEvent struct {
@@ -120,8 +118,8 @@ func parityGraphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // runBoth executes cfg/program on the reference engine and on the
-// scheduler at a spread of shard counts (plus once through a Pool), and
-// requires bit-identical results, errors, and observer streams everywhere.
+// scheduler, standalone and through a Pool, and requires bit-identical
+// results, errors, and observer streams everywhere.
 func runBoth(t *testing.T, g *graph.Graph, cfg Config, program Program) {
 	t.Helper()
 
@@ -153,19 +151,15 @@ func runBoth(t *testing.T, g *graph.Graph, cfg Config, program Program) {
 		}
 	}
 
-	for _, shards := range []int{0, 1, 2, 3, 8} {
-		obs := &parityObserver{}
-		c := cfg
-		c.Observer = obs
-		c.Shards = shards
-		res, err := Run(g, c, program)
-		check(t, fmt.Sprintf("shards=%d", shards), res, err, obs)
-	}
+	obs := &parityObserver{}
+	c := cfg
+	c.Observer = obs
+	res, err := Run(g, c, program)
+	check(t, "standalone", res, err, obs)
 
 	// Through a Pool: twice on the same pool, so the second run exercises
 	// reused scratch and the CSR cache.
-	pool := NewPool(4)
-	defer pool.Close()
+	pool := NewPool()
 	base := cfg.Ctx
 	if base == nil {
 		base = context.Background()
@@ -274,8 +268,7 @@ func TestSchedulerParityMaxRounds(t *testing.T) {
 // different graphs and configs cannot leak state through the reused
 // scratch: each matches its own fresh-engine run.
 func TestPoolSequentialRunsIndependent(t *testing.T) {
-	pool := NewPool(3)
-	defer pool.Close()
+	pool := NewPool()
 	ctx := WithPool(context.Background(), pool)
 
 	r := rand.New(rand.NewSource(9))
@@ -302,25 +295,6 @@ func TestPoolSequentialRunsIndependent(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: pooled result diverges from fresh engine", i)
-		}
-	}
-}
-
-// TestShardCountIndependence pins the documented guarantee directly on a
-// graph large enough for several shards at the default sizing.
-func TestShardCountIndependence(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	g := graph.GNP(1500, 8.0/1500, r)
-	var want *Result
-	for _, shards := range []int{1, 2, 4, 7, 16} {
-		res, err := Run(g, Config{Model: ModelCD, Seed: 77, Shards: shards}, decayProgram)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if want == nil {
-			want = res
-		} else if !reflect.DeepEqual(res, want) {
-			t.Fatalf("shards=%d: result differs from shards=1", shards)
 		}
 	}
 }

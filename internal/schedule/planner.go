@@ -26,7 +26,7 @@ const maxLayerRetries = 4
 //
 // A Planner is not safe for concurrent use; use one per serving goroutine
 // (the daemon keeps them in a sync.Pool). Radio-algorithm layers run on a
-// lazily created radio.Pool owned by the planner; Close releases it.
+// lazily created radio.Pool owned by the planner.
 type Planner struct {
 	csr     graph.CSR
 	view    graph.View
@@ -53,14 +53,9 @@ type Planner struct {
 // NewPlanner returns an empty Planner; all buffers warm up on first use.
 func NewPlanner() *Planner { return &Planner{} }
 
-// Close releases the radio worker pool, if any radio-algorithm layer ever
-// spawned one. The planner itself remains usable.
-func (pl *Planner) Close() {
-	if pl.pool != nil {
-		pl.pool.Close()
-		pl.pool = nil
-	}
-}
+// Close drops the planner's radio-algorithm scratch, letting the GC
+// reclaim it. The planner itself remains usable.
+func (pl *Planner) Close() { pl.pool = nil }
 
 // Batches peels g into independent execution batches: layer i is a maximal
 // independent set of the residual graph left by layers 0..i-1, computed by
@@ -134,7 +129,7 @@ func (pl *Planner) radioLayer(g *graph.Graph, algo string, layerSeed uint64, opt
 
 	ctx := opts.Ctx
 	if pl.pool == nil {
-		pl.pool = radio.NewPool(0)
+		pl.pool = radio.NewPool()
 	}
 	ctx = radio.WithPool(orBackground(ctx), pl.pool)
 

@@ -690,8 +690,7 @@ func EmitEvent(ctx context.Context, ev any) {
 // are aborted through their contexts. It returns ctx.Err() if the deadline
 // forced an abort.
 func (m *Manager) Shutdown(ctx context.Context) error {
-	defer m.sched.close() // release idle schedule planners (idempotent)
-	m.ready.Store(false)  // /readyz flips before the queue closes
+	m.ready.Store(false) // /readyz flips before the queue closes
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()

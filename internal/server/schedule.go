@@ -116,9 +116,7 @@ type ScheduleResult struct {
 }
 
 // scheduler is the manager's batch-scheduling serving state: a free list
-// of warm planners (amortized scratch; radio layers may pin worker pools,
-// so planners are closed at shutdown rather than left to the GC), its own
-// result LRU, and the schedule metric instruments. Scheduling is
+// of warm planners (amortized scratch), its own result LRU, and the schedule metric instruments. Scheduling is
 // synchronous — no queue, no job records — because the workload is
 // thousands of small-graph calls per second, not long simulations.
 type scheduler struct {
@@ -129,7 +127,7 @@ type scheduler struct {
 }
 
 // maxIdlePlanners bounds the free list; excess planners from a concurrency
-// burst are closed instead of retained.
+// burst are dropped instead of retained.
 const maxIdlePlanners = 8
 
 type scheduleMetrics struct {
@@ -167,19 +165,7 @@ func (s *scheduler) putPlanner(pl *schedule.Planner) {
 	defer s.mu.Unlock()
 	if len(s.free) < maxIdlePlanners {
 		s.free = append(s.free, pl)
-		return
 	}
-	pl.Close()
-}
-
-// close releases every idle planner's radio worker pool. Idempotent.
-func (s *scheduler) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, pl := range s.free {
-		pl.Close()
-	}
-	s.free = nil
 }
 
 // Schedule computes (or replays from cache) the batch plan for one

@@ -2,7 +2,7 @@
 """Check BenchmarkRun's deterministic rounds/op metric for engine drift.
 
 Reads `go test -bench BenchmarkRun` output (a file argument or stdin) and
-asserts that, for every workload size, the reference engine and the sharded
+asserts that, for every workload size, the reference engine and the round
 scheduler (standalone and pooled) report the identical rounds/op. The
 metric is fully deterministic — seeds are fixed and all engines are
 bit-identical by contract — so any disagreement means the scheduler's
