@@ -10,6 +10,7 @@ import (
 	"radiomis/internal/graph"
 	"radiomis/internal/radio"
 	"radiomis/internal/rng"
+	"radiomis/internal/trace"
 )
 
 // This file is the MIS layer of the bit-parallel lockstep trial engine
@@ -310,9 +311,10 @@ type ManyOpts struct {
 // Under EngineAuto a clean (no faults), unobserved batch of a
 // LockstepCapable algorithm runs on the bit-parallel lockstep engine in
 // chunks of up to radio.MaxLanes trials per engine call; everything else
-// runs on the scalar engine one trial at a time. Lockstep batches do not
-// emit per-trial engine trace spans (the scalar path's EngineSliceRounds
-// sampling); attach a context Pool either way to amortize engine scratch.
+// runs on the scalar engine one trial at a time. Either engine emits
+// "engine.rounds" spans when a trace.Tracer rides opts.Ctx (a lockstep
+// batch once per engine call, sampled every EngineSliceRounds rounds);
+// attach a context Pool either way to amortize engine scratch.
 func RunMany(name string, g *graph.Graph, p Params, opts ManyOpts) ([]*Result, error) {
 	spec, ok := algoSpecs[name]
 	if !ok {
@@ -363,11 +365,19 @@ func RunMany(name string, g *graph.Graph, p Params, opts ManyOpts) ([]*Result, e
 	}
 
 	lp := spec.lane(p)
+	cfg := radio.Config{Model: spec.model, Ctx: opts.Ctx}
+	tr := trace.FromContext(opts.Ctx)
+	if tr != nil {
+		cfg.Perf = &radio.RunPerf{SliceEvery: EngineSliceRounds}
+	}
 	for off := 0; off < len(opts.Seeds); off += radio.MaxLanes {
 		chunk := opts.Seeds[off:min(off+radio.MaxLanes, len(opts.Seeds))]
-		batch, err := radio.RunLockstep(g, radio.Config{Model: spec.model, Ctx: opts.Ctx}, lp, chunk)
+		batch, err := radio.RunLockstep(g, cfg, lp, chunk)
 		if err != nil {
 			return nil, fmt.Errorf("mis: %s run: %w", name, err)
+		}
+		if tr != nil {
+			emitEngineSpans(tr, trace.SpanFromContext(opts.Ctx).Context(), cfg.Perf)
 		}
 		for l := range chunk {
 			if lerr := batch.Errs[l]; lerr != nil {

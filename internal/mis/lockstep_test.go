@@ -12,6 +12,7 @@ import (
 	"radiomis/internal/graph"
 	"radiomis/internal/radio"
 	"radiomis/internal/rng"
+	"radiomis/internal/trace"
 )
 
 // laneAlgos are the registry entries with lockstep lane programs; the
@@ -190,6 +191,56 @@ func TestRunManyEmptyAndPooled(t *testing.T) {
 		if !reflect.DeepEqual(warm, cold) {
 			t.Fatalf("pooled rerun %d diverges from cold run", rerun)
 		}
+	}
+}
+
+// TestRunManyLockstepTraced pins the lockstep path's engine spans: with a
+// tracer on ctx, each RunLockstep call emits "engine.rounds" slices under
+// the caller's span through the last executed round, as the scalar path
+// does per trial, and the results stay identical to an untraced batch.
+func TestRunManyLockstepTraced(t *testing.T) {
+	g := graph.GNP(96, 6.0/96, rng.New(17))
+	p := ParamsDefault(g.N(), g.MaxDegree())
+	seeds := manySeeds(5, 70) // a 64-lane batch and a 6-lane batch
+	plain, err := RunMany("cd", g, p, ManyOpts{Seeds: seeds, Engine: EngineLockstep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.NewSeeded(1024, 1)
+	ctx, root := tr.Start(trace.WithTracer(context.Background(), tr), "test")
+	traced, err := RunMany("cd", g, p, ManyOpts{Seeds: seeds, Ctx: ctx, Engine: EngineLockstep})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(traced, plain) {
+		t.Fatal("traced lockstep batch diverges from the untraced one")
+	}
+	var spans int
+	var maxLast uint64
+	for _, sp := range tr.Spans() {
+		if sp.Name != "engine.rounds" {
+			continue
+		}
+		spans++
+		if sp.Parent != root.Context().Span {
+			t.Fatalf("engine.rounds span parent = %v, want the caller's span %v", sp.Parent, root.Context().Span)
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "lastRound" {
+				maxLast = max(maxLast, a.Value.(uint64))
+			}
+		}
+	}
+	if spans < 2 {
+		t.Fatalf("got %d engine.rounds spans, want at least one per RunLockstep call (2)", spans)
+	}
+	var maxRounds uint64
+	for _, res := range plain {
+		maxRounds = max(maxRounds, res.Rounds)
+	}
+	if maxLast+1 < maxRounds {
+		t.Fatalf("engine.rounds spans end at round %d; the longest trial ran %d rounds", maxLast, maxRounds)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"time"
 
 	"radiomis/internal/graph"
 )
@@ -28,17 +29,14 @@ import (
 // lockstep parity tests enforce this per lane across the scalar parity
 // matrix (clean, wake staggering, unary violations, round caps, pooled
 // reruns, ragged lane counts). Divergent control flow — faults,
-// crash-restart, observers, tracers — is out of scope by design: those
-// runs fall back to the scalar engine (see mis.RunMany), keeping this
-// loop free of per-lane branching.
+// crash-restart, observers — is out of scope by design: those runs fall
+// back to the scalar engine (see mis.RunMany), keeping this loop free of
+// per-lane branching. Scheduling is by lane mask too (see laneSched):
+// halted lanes cost a stepped node nothing.
 
 // MaxLanes is the lane capacity of one lockstep run: one bit per lane in
 // a 64-bit word.
 const MaxLanes = 64
-
-// neverDue marks a (node, lane) slot with no scheduled event: the lane
-// halted, errored, or does not exist.
-const neverDue = ^uint64(0)
 
 // LaneActions is the out-parameter of LaneProgram.Step: the actions of
 // one node's due lanes this round. Transmit, Listen, and Halt are lane
@@ -121,13 +119,15 @@ type lockstep struct {
 
 	// Per-(node, lane) state, indexed [node*MaxLanes + lane] so one
 	// node's 64 lanes share cache lines during stepping. Results are
-	// transposed into per-lane slices only at the end of the run.
+	// transposed into per-lane slices only at the end of the run. due
+	// is read only for lanes in their node's sleepers mask.
 	due    []uint64
 	energy []uint64
 	outs   []int64
 	haltR  []uint64
 
 	// Per-node lane masks.
+	sched  []laneSched
 	heard  []uint64 // latest reception, updated only at listener lanes
 	txMask []uint64 // lanes transmitting this round (sparse; cleared via txNodes)
 	lsMask []uint64 // lanes listening this round (sparse; cleared in receive)
@@ -154,6 +154,27 @@ type lockstep struct {
 	errPayload [MaxLanes]uint64
 
 	round uint64
+
+	perf *RunPerf // nil unless Config.Perf is set — see perf.go
+}
+
+// laneSched is one node's lane schedule. Lanes in neither mask have
+// halted, died, or do not exist. After its first step, a node with
+// wakeNext lanes is in the next-round bucket; otherwise one with sleepers
+// has a heap event at sleepMin; otherwise it has no event.
+type laneSched struct {
+	// wakeNext holds the lanes due in the round after the node's last
+	// step: transmitters, listeners, and one-round sleepers. Before the
+	// node's first step it holds every lane, due at its wake round.
+	wakeNext uint64
+	// sleepers holds the lanes due later than that, each at its
+	// due[node*MaxLanes+lane].
+	sleepers uint64
+	// sleepMin is the earliest round in due over sleepers. killLane may
+	// leave it stale-low; the node then steps at that round, possibly
+	// with nothing due (the stale-event path), and wakeSleepers
+	// recomputes it.
+	sleepMin uint64
 }
 
 // RunLockstep simulates len(seeds) lanes of lp on g under cfg. Lane l is
@@ -164,9 +185,10 @@ type lockstep struct {
 //
 // Supported Config fields: Model, Ctx (cancellation + Pool lookup), Seed
 // is ignored (seeds come per lane), MaxRounds, WakeRound (shared by all
-// lanes), UnaryOnly. Observer and Faults are scalar-engine features —
-// configuring them is an error, not a silent no-op; Perf is ignored (its
-// counters describe the scalar scheduler's round loop).
+// lanes), UnaryOnly, Perf (Rounds, WallNs, RoundsPerSec, PoolHit,
+// CSRReused, and round slices; the lane results are identical with Perf
+// set or nil). Observer and Faults are scalar-engine features —
+// configuring them is an error, not a silent no-op.
 //
 // Attach a Pool (WithPool) to reuse the engine's scratch and CSR snapshot
 // across batches, exactly like scalar Run.
@@ -211,8 +233,12 @@ func RunLockstep(g *graph.Graph, cfg Config, lp LaneProgram, seeds []uint64) (*L
 func (p *Pool) runLockstep(g *graph.Graph, cfg *Config, lp LaneProgram, lanes int, maxRounds uint64) (*LockstepBatch, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	csr, _ := p.snapshot(g)
+	csr, cached := p.snapshot(g)
 	p.lk.bind(g, csr, cfg, lanes, maxRounds)
+	if cfg.Perf != nil {
+		cfg.Perf.PoolHit = true
+		cfg.Perf.CSRReused = cached
+	}
 	return p.lk.run(lp)
 }
 
@@ -233,6 +259,10 @@ func (ls *lockstep) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, lanes int,
 	ls.n = n
 	ls.round = 0
 	ls.errMask = 0
+	ls.perf = cfg.Perf
+	if ls.perf != nil {
+		ls.perf.reset()
+	}
 
 	if lanes == MaxLanes {
 		ls.aliveMask = ^uint64(0)
@@ -256,10 +286,12 @@ func (ls *lockstep) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, lanes int,
 	clear(ls.haltR)
 
 	if cap(ls.heard) < n {
+		ls.sched = make([]laneSched, n)
 		ls.heard = make([]uint64, n)
 		ls.txMask = make([]uint64, n)
 		ls.lsMask = make([]uint64, n)
 	}
+	ls.sched = ls.sched[:n]
 	ls.heard = ls.heard[:n]
 	ls.txMask = ls.txMask[:n]
 	ls.lsMask = ls.lsMask[:n]
@@ -288,23 +320,22 @@ func (ls *lockstep) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, lanes int,
 	}
 
 	for v := 0; v < n; v++ {
-		base := v * MaxLanes
 		var wake uint64
 		if cfg.WakeRound != nil {
 			wake = cfg.WakeRound[v]
 		}
-		for l := 0; l < lanes; l++ {
-			ls.due[base+l] = wake
-		}
-		for l := lanes; l < MaxLanes; l++ {
-			ls.due[base+l] = neverDue
-		}
+		ls.sched[v] = laneSched{wakeNext: ls.aliveMask}
 		ls.heap.push(event{round: wake, id: v})
 	}
 }
 
 // run drives the batch to completion and assembles the per-lane results.
 func (ls *lockstep) run(lp LaneProgram) (*LockstepBatch, error) {
+	if ls.perf != nil {
+		start := time.Now()
+		ls.perf.LoopStart = start
+		defer func() { ls.perf.finish(time.Since(start)) }()
+	}
 	for ls.aliveMask != 0 {
 		select {
 		case <-ls.done:
@@ -334,6 +365,12 @@ func (ls *lockstep) run(lp LaneProgram) (*LockstepBatch, error) {
 		}
 		ls.round = r
 		ls.stepRound(r, lp)
+		if ls.perf != nil {
+			ls.perf.Rounds++
+			if ls.perf.sliceStride != 0 {
+				ls.perf.sliceTick(r)
+			}
+		}
 	}
 	return ls.results(), nil
 }
@@ -368,25 +405,40 @@ func (ls *lockstep) beginRound(r uint64) {
 	ls.next = ls.next[:0]
 }
 
-// reschedule re-enters node v into the event structures at the minimum
-// due round across its lanes; a node whose lanes are all halted or dead
-// retires (no event).
-func (ls *lockstep) reschedule(v int32, r uint64) {
-	base := int(v) * MaxLanes
-	m := neverDue
-	for l := 0; l < ls.lanes; l++ {
-		if d := ls.due[base+l]; d < m {
-			m = d
+// reschedule re-enters node v into the event structures from its lane
+// masks: the next-round bucket if any lane is due right after this round,
+// else a heap event at its earliest sleeper; a node with neither (all its
+// lanes halted or dead) retires.
+func (ls *lockstep) reschedule(v int32) {
+	switch s := &ls.sched[v]; {
+	case s.wakeNext != 0:
+		ls.next = append(ls.next, v)
+	case s.sleepers != 0:
+		ls.heap.push(event{round: s.sleepMin, id: int(v)})
+	}
+}
+
+// wakeSleepers removes the sleepers of node v due at round r from its
+// sleepers mask, returns them, and recomputes sleepMin over the rest.
+// stepRound calls it only when sleepMin == r: every node steps no later
+// than its sleepMin, so no sleeper is ever overdue.
+func (ls *lockstep) wakeSleepers(v int32, r uint64) uint64 {
+	s := &ls.sched[v]
+	due := ls.due[int(v)*MaxLanes : int(v)*MaxLanes+MaxLanes]
+	var woke uint64
+	next := ^uint64(0)
+	for m := s.sleepers; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		switch d := due[l]; {
+		case d == r:
+			woke |= 1 << l
+		case d < next:
+			next = d
 		}
 	}
-	if m == neverDue {
-		return
-	}
-	if m == r+1 {
-		ls.next = append(ls.next, v)
-		return
-	}
-	ls.heap.push(event{round: m, id: int(v)})
+	s.sleepers &^= woke
+	s.sleepMin = next
+	return woke
 }
 
 // stepRound advances all lanes one round: step each due node's lane
@@ -402,16 +454,16 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 
 	for _, v := range ls.cur {
 		base := int(v) * MaxLanes
-		var dueM uint64
-		for l := 0; l < ls.lanes; l++ {
-			if ls.due[base+l] == r {
-				dueM |= 1 << l
-			}
+		s := &ls.sched[v]
+		dueM := s.wakeNext
+		s.wakeNext = 0
+		if s.sleepers != 0 && s.sleepMin == r {
+			dueM |= ls.wakeSleepers(v, r)
 		}
 		if dueM == 0 {
-			// Stale event: the lanes that scheduled it died since. The
-			// recompute below retires or re-enters the node correctly.
-			ls.reschedule(v, r)
+			// Stale event: every lane that scheduled it died since;
+			// reschedule re-enters the node from what is left.
+			ls.reschedule(v)
 			continue
 		}
 
@@ -446,21 +498,25 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 			ls.lsNodes = append(ls.lsNodes, v)
 		}
 		for m := tx | lsn; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			ls.energy[base+l]++
-			ls.due[base+l] = r + 1
+			ls.energy[base+bits.TrailingZeros64(m)]++
 		}
+		wake := tx | lsn
 		for m := sl; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
 			k := act.Sleep[l]
-			if k == 0 {
-				k = 1
+			if k <= 1 {
+				wake |= 1 << l
+				continue
 			}
+			if s.sleepers == 0 || r+k < s.sleepMin {
+				s.sleepMin = r + k
+			}
+			s.sleepers |= 1 << l
 			ls.due[base+l] = r + k
 		}
+		s.wakeNext = wake
 		for m := hl; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			ls.due[base+l] = neverDue
 			ls.outs[base+l] = act.Output[l]
 			// Scalar semantics in an erroring round: halts of nodes below
 			// the offender are observed, those at or above are not (their
@@ -471,7 +527,7 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 				ls.laneActive[l]--
 			}
 		}
-		ls.reschedule(v, r)
+		ls.reschedule(v)
 	}
 
 	if ls.errMask != 0 {
@@ -547,13 +603,15 @@ func (ls *lockstep) receive(r uint64) {
 }
 
 // killLane removes lane l from the run after a lane error: it stops
-// scheduling (every due slot cleared) and stops counting toward round or
-// reception accounting. Other lanes are unaffected — lane isolation is
-// inherent to the bit layout.
+// scheduling (the lane's bit cleared from every node's wakeNext and
+// sleepers, leaving sleepMin possibly stale-low) and stops counting
+// toward round or reception accounting. Other lanes are unaffected —
+// lane isolation is inherent to the bit layout.
 func (ls *lockstep) killLane(l int) {
 	ls.aliveMask &^= 1 << l
-	for v := 0; v < ls.n; v++ {
-		ls.due[v*MaxLanes+l] = neverDue
+	for v := range ls.sched {
+		ls.sched[v].wakeNext &^= 1 << l
+		ls.sched[v].sleepers &^= 1 << l
 	}
 }
 

@@ -112,11 +112,22 @@ func (p *benchLaneProgram) Step(node int, due, heard uint64, act *LaneActions) {
 // drowsyProgram is the heap-path workload: mostly asleep with random
 // multi-round sleeps, sparse due sets, and rounds with no awake node.
 // Every draw is Int63-arithmetic so the lane twin replays it exactly.
-func drowsyProgram(env *Env) int64 {
+func drowsyProgram(env *Env) int64 { return drowsyRun(env, false) }
+
+// drowsyUnaryProgram is drowsyProgram where about one transmission in
+// 512 carries the non-unary payload 2: under UnaryOnly, lanes die while
+// their sibling lanes (and their own other nodes) sleep.
+func drowsyUnaryProgram(env *Env) int64 { return drowsyRun(env, true) }
+
+func drowsyRun(env *Env, rareNonUnary bool) int64 {
 	for i := 0; i < 12; i++ {
 		env.Sleep(uint64(env.Rand().Int63()&7) + 1)
-		if env.Rand().Int63()&1 == 1 {
-			env.TransmitBit()
+		if x := env.Rand().Int63(); x&1 == 1 {
+			if rareNonUnary && x>>1&511 == 0 {
+				env.Transmit(2)
+			} else {
+				env.TransmitBit()
+			}
 		} else if env.Listen().Kind != Silence {
 			env.Sleep(2)
 		}
@@ -139,7 +150,8 @@ const (
 )
 
 type drowsyLaneProgram struct {
-	state []drowsyLaneState
+	state        []drowsyLaneState
+	rareNonUnary bool // twin of drowsyUnaryProgram instead of drowsyProgram
 }
 
 func (p *drowsyLaneProgram) Bind(n int, seeds []uint64) {
@@ -178,6 +190,13 @@ func (p *drowsyLaneProgram) Step(node int, due, heard uint64, act *LaneActions) 
 			s.rng, out = rng.SplitMix64(s.rng)
 			if (out>>1)&1 == 1 {
 				act.Transmit |= bit
+				if p.rareNonUnary {
+					act.HasPayload = true
+					act.Payload[l] = 1
+					if (out>>2)&511 == 0 {
+						act.Payload[l] = 2
+					}
+				}
 				s.energy++
 				s.st = drowsyStSleep
 			} else {
@@ -401,6 +420,83 @@ func TestLockstepParityUnaryViolation(t *testing.T) {
 	if died == 0 || lived == 0 {
 		t.Fatalf("want a mixed batch, got %d dead / %d live lanes", died, lived)
 	}
+}
+
+// TestLockstepParityKillWhileSleeping kills lanes (UnaryOnly violations
+// of drowsyUnaryProgram) at nodes whose sibling lanes sleep, so killLane
+// must drop the dead lane from every node's wake and sleep masks and
+// leave sleepMin stale-low behind it. Three checks: scalar parity of the
+// surviving lanes; lane isolation, errored lanes included (each lane's
+// Result and error equal its one-lane batch's, so a dead lane stops where
+// it died while its siblings run on); and scalar parity of a pooled
+// batch right after one that killed lanes and hit the round cap with
+// lanes still asleep (bind must reset every node's masks).
+func TestLockstepParityKillWhileSleeping(t *testing.T) {
+	g := graph.GNP(64, 4.0/64, rand.New(rand.NewSource(21)))
+	pair := lanePair{scalar: drowsyUnaryProgram, lane: func() LaneProgram { return &drowsyLaneProgram{rareNonUnary: true} }}
+	cfg := Config{Model: ModelCD, UnaryOnly: true}
+	seeds := laneSeeds(64, 0x5eed)
+	runBothLockstep(t, g, cfg, pair, seeds)
+
+	batch, err := RunLockstep(g, cfg, pair.lane(), seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	died := 0
+	for l := range seeds {
+		solo, err := RunLockstep(g, cfg, pair.lane(), seeds[l:l+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := batch.Errs[l], solo.Errs[0]
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("lane %d error = %v, alone = %v", l, got, want)
+		}
+		if !reflect.DeepEqual(batch.Results[l], solo.Results[0]) {
+			t.Fatalf("lane %d (error %v) Result differs from the lane run alone\n got: %+v\nwant: %+v", l, got, batch.Results[l], solo.Results[0])
+		}
+		if got != nil {
+			if !errors.Is(got, ErrNotUnary) {
+				t.Fatalf("lane %d error = %v, want ErrNotUnary", l, got)
+			}
+			died++
+		}
+	}
+	if died == 0 || died == len(seeds) {
+		t.Fatalf("want a mixed batch, got %d/%d dead lanes", died, len(seeds))
+	}
+
+	// Pooled reruns, each right after a batch that killed lanes and hit
+	// the round cap with lanes asleep. The spin pair keeps the loop going
+	// past that batch's pending wake-up rounds while most of its own lanes
+	// have halted, so masks that survived bind would step halted lanes.
+	ctx := WithPool(context.Background(), NewPool())
+	killAndCap := func() {
+		t.Helper()
+		capped := cfg
+		capped.Ctx, capped.MaxRounds = ctx, 40
+		batch, err := RunLockstep(g, capped, pair.lane(), seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var unary, maxed int
+		for _, lerr := range batch.Errs {
+			switch {
+			case errors.Is(lerr, ErrNotUnary):
+				unary++
+			case errors.Is(lerr, ErrMaxRounds):
+				maxed++
+			}
+		}
+		if unary == 0 || maxed == 0 {
+			t.Fatalf("capped batch: %d unary and %d capped lanes, want both", unary, maxed)
+		}
+	}
+	killAndCap()
+	runBothLockstep(t, g, Config{Model: ModelCD, UnaryOnly: true, Ctx: ctx}, pair, laneSeeds(64, 0x5eee))
+	killAndCap()
+	spin := lanePair{scalar: spinScalarProgram, lane: func() LaneProgram { return &spinLaneProgram{} }}
+	runBothLockstep(t, g, Config{Model: ModelCD, Ctx: ctx, MaxRounds: 100}, spin, laneSeeds(64, 0x5eef))
 }
 
 // spinScalarProgram makes node 0 listen forever in lanes where its first

@@ -18,8 +18,9 @@ import "time"
 //     steady-state zero-allocation guarantee is unchanged.
 
 // RunPerf accumulates one run's scheduler performance counters. Install a
-// *RunPerf on Config.Perf and the scheduler fills it during the run; read
-// it after Run returns. The same RunPerf may be reused across consecutive
+// *RunPerf on Config.Perf and the scheduler (Run) or the lockstep engine
+// (RunLockstep, one RunPerf per batch) fills it during the run; read it
+// after the call returns. The same RunPerf may be reused across consecutive
 // runs (bind resets it), which also keeps its slices allocation-free after
 // the first run.
 type RunPerf struct {
@@ -42,7 +43,7 @@ type RunPerf struct {
 	// BufferGrows counts coordinator-side scratch reallocations during
 	// bind (transmitter bitset, payload array). A warm pool holds this at
 	// zero; nonzero on pooled runs means the workload outgrew the pool's
-	// buffers.
+	// buffers. The scalar scheduler only: RunLockstep leaves it zero.
 	BufferGrows int
 
 	// SliceEvery, when > 0, samples the round loop into coarse RoundSlices:

@@ -126,6 +126,53 @@ func TestPerfFields(t *testing.T) {
 	}
 }
 
+// TestLockstepPerf holds RunLockstep to the same contract: lane results
+// and errors are identical with Perf set or nil, standalone and pooled,
+// and Perf reports the batch's executed rounds, loop wall time, pool and
+// CSR reuse, and round slices covering the whole loop.
+func TestLockstepPerf(t *testing.T) {
+	g := graph.Cycle(130)
+	seeds := laneSeeds(64, 13)
+	want, err := RunLockstep(g, Config{Model: ModelCD}, &drowsyLaneProgram{}, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lastActive uint64
+	for _, res := range want.Results {
+		lastActive = max(lastActive, res.Rounds)
+	}
+	ctx := WithPool(context.Background(), NewPool())
+	perf := &RunPerf{SliceEvery: 8}
+	for run, c := range []Config{
+		{Model: ModelCD, Perf: perf},
+		{Model: ModelCD, Ctx: ctx, Perf: perf},
+		{Model: ModelCD, Ctx: ctx, Perf: perf},
+	} {
+		got, err := RunLockstep(g, c, &drowsyLaneProgram{}, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: batch with Perf set diverges from the batch without", run)
+		}
+		if pooled := c.Ctx != nil; perf.PoolHit != pooled || perf.CSRReused != (run == 2) {
+			t.Errorf("run %d: PoolHit = %v, CSRReused = %v", run, perf.PoolHit, perf.CSRReused)
+		}
+		if perf.Rounds == 0 || perf.WallNs <= 0 || perf.RoundsPerSec <= 0 {
+			t.Errorf("run %d: Rounds = %d, WallNs = %d, RoundsPerSec = %v: want positive", run, perf.Rounds, perf.WallNs, perf.RoundsPerSec)
+		}
+		var sliced uint64
+		for _, sl := range perf.Slices {
+			sliced += sl.Rounds
+		}
+		last := perf.Slices[len(perf.Slices)-1].LastRound
+		if sliced != perf.Rounds || len(perf.Slices) != int((perf.Rounds+7)/8) || last+1 < lastActive {
+			t.Errorf("run %d: %d slices hold %d of %d rounds and end at round %d; lanes ran %d rounds",
+				run, len(perf.Slices), sliced, perf.Rounds, last, lastActive)
+		}
+	}
+}
+
 // TestPerfDisabledAddsNoAllocs extends the nil-observer zero-alloc guard
 // to the telemetry layer: with Config.Perf nil the scheduler's per-round
 // allocation count must stay zero — the disabled path is only nil checks.
